@@ -19,13 +19,14 @@ import os
 
 import numpy as np
 
-from .matqm import eig_sym, kron, pauli
+from .matqm import eig_sym, pauli
 
 __all__ = [
     "AnglePair",
     "BellFunctional",
     "observable",
     "bell_operator",
+    "bell_operator_stack",
     "lipschitz_constants",
     "max_quantum_value",
     "score_to_value",
@@ -36,6 +37,7 @@ __all__ = [
 _HALF_PI = math.pi / 2.0
 _X = pauli("X").real
 _Z = pauli("Z").real
+_I2 = np.eye(2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,24 +94,42 @@ def observable(theta: float, branch: int) -> np.ndarray:
     return math.cos(theta) * _Z + (-1.0) ** branch * math.sin(theta) * _X
 
 
-def bell_operator(func: BellFunctional, pair: AnglePair) -> np.ndarray:
-    """The 4x4 real symmetric Bell operator of ``func`` at angles ``pair``."""
-    ops_a = [observable(pair.a, x) for x in (0, 1)]
-    ops_b = [observable(pair.b, y) for y in (0, 1)]
-    out = np.zeros((4, 4))
-    eye = np.eye(2)
+def _observable_stack(thetas: np.ndarray, branch: int) -> np.ndarray:
+    sign = 1.0 if branch == 0 else -1.0
+    c = np.cos(thetas)[:, None, None]
+    s = np.sin(thetas)[:, None, None]
+    return c * _Z + sign * s * _X
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("lab,lcd->lacbd", a, b).reshape(-1, 4, 4)
+
+
+def bell_operator_stack(func: BellFunctional, a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
+    """Bell operators of ``func`` for paired angle arrays, shape (n, 4, 4)."""
+    a_vals = np.asarray(a_vals, dtype=float)
+    b_vals = np.asarray(b_vals, dtype=float)
+    eye = np.broadcast_to(_I2, (a_vals.size, 2, 2))
+    ops_a = [_observable_stack(a_vals, 0), _observable_stack(a_vals, 1)]
+    ops_b = [_observable_stack(b_vals, 0), _observable_stack(b_vals, 1)]
+    out = np.zeros((a_vals.size, 4, 4))
     for x in (0, 1):
         for y in (0, 1):
             g = func.gamma[x][y]
             if g != 0.0:
-                out += g * kron(ops_a[x], ops_b[y])
+                out += g * _kron_stack(ops_a[x], ops_b[y])
     for x in (0, 1):
         if func.cA[x] != 0.0:
-            out += func.cA[x] * kron(ops_a[x], eye)
+            out += func.cA[x] * _kron_stack(ops_a[x], eye)
     for y in (0, 1):
         if func.cB[y] != 0.0:
-            out += func.cB[y] * kron(eye, ops_b[y])
+            out += func.cB[y] * _kron_stack(eye, ops_b[y])
     return out
+
+
+def bell_operator(func: BellFunctional, pair: AnglePair) -> np.ndarray:
+    """The 4x4 real symmetric Bell operator of ``func`` at angles ``pair``."""
+    return bell_operator_stack(func, np.array([pair.a]), np.array([pair.b]))[0]
 
 
 def lipschitz_constants(func: BellFunctional) -> tuple[float, float]:
@@ -182,8 +202,9 @@ def _golden_polish(f, lo, hi, iters=60):
 def _quantum_range(func_like) -> tuple[float, float]:
     """Numerical quantum bounds: grid search plus coordinate-wise polish.
 
-    Scans extreme eigenvalues of the Bell operator over the angle box and
-    refines each extremum by alternating golden-section line searches.
+    Scans extreme eigenvalues of the Bell operator over a 61 x 61 grid of
+    the angle box in one batched eigensolve and refines each extremum by
+    alternating golden-section line searches.
     """
     grid = np.linspace(0.0, _HALF_PI, 61)
 
@@ -191,20 +212,15 @@ def _quantum_range(func_like) -> tuple[float, float]:
         vals = eig_sym(bell_operator(func_like, AnglePair(a, b))).values
         return float(vals[-1] if top else vals[0])
 
-    best = {True: (-math.inf, 0.0, 0.0), False: (math.inf, 0.0, 0.0)}
-    for a in grid:
-        for b in grid:
-            hi = lam_extreme(a, b, True)
-            lo = lam_extreme(a, b, False)
-            if hi > best[True][0]:
-                best[True] = (hi, a, b)
-            if lo < best[False][0]:
-                best[False] = (lo, a, b)
+    a_grid, b_grid = (m.ravel() for m in np.meshgrid(grid, grid, indexing="ij"))
+    ev = np.linalg.eigvalsh(bell_operator_stack(func_like, a_grid, b_grid))
+    # first extreme cell in row-major (a, b) order
+    start = {True: int(np.argmax(ev[:, -1])), False: int(np.argmin(ev[:, 0]))}
 
     out = {}
     step = float(grid[1] - grid[0])
     for top in (True, False):
-        _, a, b = best[top]
+        a, b = float(a_grid[start[top]]), float(b_grid[start[top]])
         sign = -1.0 if top else 1.0
         for _ in range(4):  # alternate 1d polish on each coordinate
             a = _golden_polish(

@@ -24,9 +24,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bellops import AnglePair, BellFunctional, chsh, lipschitz_constants
+from .bellops import AnglePair, BellFunctional, bell_operator_stack, chsh, lipschitz_constants
 from .envelope import PiecewiseLinear, knots_from_json, knots_to_csv, knots_to_json, lower_convex_hull
-from .matqm import pauli
 from .sdpcore import FabSolution, solve_fab_batch
 
 __all__ = [
@@ -44,10 +43,6 @@ __all__ = [
 FLOOR = 0.5
 _SEED_BATCH = 256
 _DEFAULT_KNOTS = 65
-
-_X = pauli("X").real
-_Z = pauli("Z").real
-_I2 = np.eye(2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,37 +89,6 @@ class GridSpec:
         return ks
 
 
-def _observable_stack(thetas: np.ndarray, branch: int) -> np.ndarray:
-    sign = 1.0 if branch == 0 else -1.0
-    c = np.cos(thetas)[:, None, None]
-    s = np.sin(thetas)[:, None, None]
-    return c * _Z + sign * s * _X
-
-
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("lab,lcd->lacbd", a, b).reshape(-1, 4, 4)
-
-
-def _bell_operator_stack(f: BellFunctional, a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
-    """Bell operators for paired angle arrays, vectorized over cells."""
-    eye = np.broadcast_to(_I2, (a_vals.size, 2, 2))
-    aa = [_observable_stack(a_vals, 0), _observable_stack(a_vals, 1)]
-    bb = [_observable_stack(b_vals, 0), _observable_stack(b_vals, 1)]
-    out = np.zeros((a_vals.size, 4, 4))
-    for x in range(2):
-        for y in range(2):
-            g = f.gamma[x][y]
-            if g != 0.0:
-                out += g * _kron_stack(aa[x], bb[y])
-    for x in range(2):
-        if f.cA[x] != 0.0:
-            out += f.cA[x] * _kron_stack(aa[x], eye)
-    for y in range(2):
-        if f.cB[y] != 0.0:
-            out += f.cB[y] * _kron_stack(eye, bb[y])
-    return out
-
-
 def _is_swap_symmetric(f: BellFunctional) -> bool:
     g = f.gamma
     return g[0][1] == g[1][0] and f.cA == f.cB
@@ -136,7 +100,7 @@ def feasible_cells(f: BellFunctional, omega: float, g: GridSpec) -> list[AnglePa
     a_idx, b_idx = np.meshgrid(np.arange(vals.size), np.arange(vals.size), indexing="ij")
     a_idx = a_idx.ravel()
     b_idx = b_idx.ravel()
-    bells = _bell_operator_stack(f, vals[a_idx], vals[b_idx])
+    bells = bell_operator_stack(f, vals[a_idx], vals[b_idx])
     lam_max = np.linalg.eigvalsh(bells)[:, -1]
     mask = lam_max >= omega - g.penalty(f)
     return [AnglePair(vals[i], vals[j]) for i, j in zip(a_idx[mask], b_idx[mask])]
@@ -306,7 +270,7 @@ def xi_lower_bound(
     if _is_swap_symmetric(f):
         keep = a_idx <= b_idx  # value is swap-invariant, solve one triangle
         a_idx, b_idx = a_idx[keep], b_idx[keep]
-    bells = _bell_operator_stack(f, vals[a_idx], vals[b_idx])
+    bells = bell_operator_stack(f, vals[a_idx], vals[b_idx])
     lam_max = np.linalg.eigvalsh(bells)[:, -1]
     n_cells = bells.shape[0]
 
@@ -339,7 +303,7 @@ def xi_lower_bound(
                 out = _solve_indices(bells, np.array([cell]), omega_p, gap_tol, None, workers)
                 raw[ki] = float(out["value"][0])
                 arg_cell[ki] = cell
-                arg_sol[ki] = _sol_from(out, 0)
+                arg_sol[ki] = FabSolution.from_batch(out, 0)
                 continue
 
             new_idx = np.nonzero(feas & ~have)[0]
@@ -381,7 +345,7 @@ def xi_lower_bound(
                 k: np.concatenate([out1[k], out2[k]])[var_order]
                 for k in ("value", "lam", "mu", "t", "status", "gap_bound", "iterations", "psd_slack")
             }
-            arg_sol[ki] = _sol_from(full, best)
+            arg_sol[ki] = FabSolution.from_batch(full, best)
 
             if floor_early_exit and raw[ki] <= FLOOR:
                 pinned_from = pos
@@ -409,20 +373,6 @@ def xi_lower_bound(
         raw_values=raw_v,
         argmin_cells=cells,
         argmin_solutions=sols,
-    )
-
-
-def _sol_from(out: dict[str, np.ndarray], i: int) -> FabSolution:
-    names = {0: "optimal", 1: "max-iter", 2: "infeasible"}
-    return FabSolution(
-        value=float(out["value"][i]),
-        lam=float(out["lam"][i]),
-        mu=float(out["mu"][i]),
-        t=out["t"][i],
-        status=names[int(out["status"][i])],
-        gap_bound=float(out["gap_bound"][i]),
-        iterations=int(out["iterations"][i]),
-        psd_slack=float(out["psd_slack"][i]),
     )
 
 

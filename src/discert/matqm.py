@@ -3,14 +3,12 @@
 Everything here works on 2x2 and 4x4 arrays only.  The certification
 pipeline stays on the real-symmetric path; complex Hermitian matrices
 appear only as simulator states.  Eigendecomposition of real symmetric
-matrices is done by cyclic Jacobi rotations so the hot path has no
-dependency beyond numpy array arithmetic.
+matrices is LAPACK's, through ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -122,10 +120,7 @@ class DensityMat:
         tr = float(np.trace(h.mat).real)
         if abs(tr - 1.0) > TOL.algebra:
             raise ValueError(f"density matrix trace must be 1 within {TOL.algebra}, got {tr!r}")
-        if h.real:
-            evals = eigvals_sym(h.mat)
-        else:
-            evals = np.linalg.eigvalsh(h.mat)  # complex path: simulator states only
+        evals = np.linalg.eigvalsh(h.mat)
         if float(evals[0]) < -TOL.density:
             raise ValueError(f"density matrix has negative eigenvalue {float(evals[0]):.3e}")
         return cls(mat=h.mat, dim=h.dim, real=h.real)
@@ -139,47 +134,8 @@ class EigSys:
     vectors: np.ndarray
 
 
-def _jacobi_sweeps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi on a real symmetric matrix; returns (diagonalized a, V)."""
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = math.sqrt(float(np.sum(a * a))) or 1.0
-    for _ in range(100):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * a[p, q] * a[p, q]
-        if math.sqrt(off) <= 1e-15 * scale:
-            return a, v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                # classic 2x2 rotation annihilating a[p, q]
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    raise RuntimeError("Jacobi eigensolver did not converge within 100 sweeps")
-
-
-def eig_sym(mat: np.ndarray) -> EigSys:
-    """Eigendecomposition of a real symmetric 2x2 or 4x4 matrix.
-
-    Cyclic Jacobi rotations, deterministic, capped at 100 sweeps.  Returns
-    ascending eigenvalues; columns of ``vectors`` are the eigenvectors.
-    """
+def _as_real_symmetric(mat: np.ndarray) -> np.ndarray:
+    """Validated, exactly symmetrized float copy of a real symmetric matrix."""
     m = _as_square(mat)
     if np.iscomplexobj(m):
         if float(np.max(np.abs(np.asarray(m).imag))) > TOL.hermitian:
@@ -188,16 +144,22 @@ def eig_sym(mat: np.ndarray) -> EigSys:
     m = np.array(m, dtype=float)
     if float(np.max(np.abs(m - m.T))) > TOL.hermitian * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError("eig_sym expects a symmetric matrix")
-    m = 0.5 * (m + m.T)
-    diag, v = _jacobi_sweeps(m.copy())
-    vals = np.diag(diag).copy()
-    order = np.argsort(vals, kind="stable")
-    return EigSys(values=vals[order], vectors=v[:, order])
+    return 0.5 * (m + m.T)
+
+
+def eig_sym(mat: np.ndarray) -> EigSys:
+    """Eigendecomposition of a real symmetric matrix of dimension up to 4.
+
+    LAPACK via ``np.linalg.eigh``.  Returns ascending eigenvalues; columns
+    of ``vectors`` are the eigenvectors.
+    """
+    vals, vecs = np.linalg.eigh(_as_real_symmetric(mat))
+    return EigSys(values=vals, vectors=vecs)
 
 
 def eigvals_sym(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric 2x2 or 4x4 matrix."""
-    return eig_sym(mat).values
+    """Ascending eigenvalues of a real symmetric matrix of dimension up to 4."""
+    return np.linalg.eigvalsh(_as_real_symmetric(mat))
 
 
 def partial_trace(mat: np.ndarray, side: str) -> np.ndarray:

@@ -96,6 +96,9 @@ class FabProblem:
         object.__setattr__(self, "bell_op", b)
 
 
+_STATUS_NAMES = {0: "optimal", 1: "max-iter", 2: "infeasible"}
+
+
 @dataclasses.dataclass(frozen=True)
 class FabSolution:
     """A feasible point and its certified objective value.
@@ -120,56 +123,122 @@ class FabSolution:
     def sigma(self) -> np.ndarray:
         return bell_diag_sigma(self.t)
 
+    @classmethod
+    def from_batch(cls, out: dict[str, np.ndarray], i: int) -> "FabSolution":
+        """Row ``i`` of a ``solve_fab_batch`` result."""
+        return cls(
+            value=float(out["value"][i]),
+            lam=float(out["lam"][i]),
+            mu=float(out["mu"][i]),
+            t=out["t"][i],
+            status=_STATUS_NAMES[int(out["status"][i])],
+            gap_bound=float(out["gap_bound"][i]),
+            iterations=int(out["iterations"][i]),
+            psd_slack=float(out["psd_slack"][i]),
+        )
+
 
 def _chol4(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Cholesky for stacks of 4x4 symmetric matrices.
+    """Vectorized Cholesky for stacks (..., 4, 4) of symmetric matrices.
 
-    Returns (L, ok); rows with ok False are not positive definite and the
-    corresponding L rows are garbage.
+    Returns (L, ok); entries with ok False are not positive definite and
+    the corresponding L entries are garbage.
     """
     m = mats
-    n = m.shape[0]
     L = np.zeros_like(m)
-    ok = np.ones(n, dtype=bool)
+    ok = np.ones(m.shape[:-2], dtype=bool)
 
     def _safe_sqrt(d):
         nonlocal ok
         ok &= d > 0.0
         return np.sqrt(np.where(d > 0.0, d, 1.0))
 
-    s = _safe_sqrt(m[:, 0, 0])
-    L[:, 0, 0] = s
-    L[:, 1, 0] = m[:, 1, 0] / s
-    L[:, 2, 0] = m[:, 2, 0] / s
-    L[:, 3, 0] = m[:, 3, 0] / s
-    s = _safe_sqrt(m[:, 1, 1] - L[:, 1, 0] ** 2)
-    L[:, 1, 1] = s
-    L[:, 2, 1] = (m[:, 2, 1] - L[:, 2, 0] * L[:, 1, 0]) / s
-    L[:, 3, 1] = (m[:, 3, 1] - L[:, 3, 0] * L[:, 1, 0]) / s
-    s = _safe_sqrt(m[:, 2, 2] - L[:, 2, 0] ** 2 - L[:, 2, 1] ** 2)
-    L[:, 2, 2] = s
-    L[:, 3, 2] = (m[:, 3, 2] - L[:, 3, 0] * L[:, 2, 0] - L[:, 3, 1] * L[:, 2, 1]) / s
-    s = _safe_sqrt(m[:, 3, 3] - L[:, 3, 0] ** 2 - L[:, 3, 1] ** 2 - L[:, 3, 2] ** 2)
-    L[:, 3, 3] = s
+    s = _safe_sqrt(m[..., 0, 0])
+    L[..., 0, 0] = s
+    L[..., 1, 0] = m[..., 1, 0] / s
+    L[..., 2, 0] = m[..., 2, 0] / s
+    L[..., 3, 0] = m[..., 3, 0] / s
+    s = _safe_sqrt(m[..., 1, 1] - L[..., 1, 0] ** 2)
+    L[..., 1, 1] = s
+    L[..., 2, 1] = (m[..., 2, 1] - L[..., 2, 0] * L[..., 1, 0]) / s
+    L[..., 3, 1] = (m[..., 3, 1] - L[..., 3, 0] * L[..., 1, 0]) / s
+    s = _safe_sqrt(m[..., 2, 2] - L[..., 2, 0] ** 2 - L[..., 2, 1] ** 2)
+    L[..., 2, 2] = s
+    L[..., 3, 2] = (m[..., 3, 2] - L[..., 3, 0] * L[..., 2, 0] - L[..., 3, 1] * L[..., 2, 1]) / s
+    s = _safe_sqrt(m[..., 3, 3] - L[..., 3, 0] ** 2 - L[..., 3, 1] ** 2 - L[..., 3, 2] ** 2)
+    L[..., 3, 3] = s
     return L, ok
 
 
-def _logdet_from_chol(L: np.ndarray) -> np.ndarray:
-    d = np.einsum("nii->ni", L)
-    return 2.0 * np.sum(np.log(d), axis=1)
-
-
 def _feasible(t, lam, mu, bells):
+    """Cholesky factors of (sigma, slack) per row, shape (k, 2, 4, 4), and
+    whether the row is strictly feasible."""
     sig = bell_diag_sigma(t)
     slack = sig - lam[:, None, None] * bells - mu[:, None, None] * _I4
-    L1, ok1 = _chol4(sig)
-    L2, ok2 = _chol4(slack)
-    ok = ok1 & ok2 & (lam > 0.0) & (lam < _LAM_CAP)
-    return sig, slack, L1, L2, ok
+    L, ok = _chol4(np.stack((sig, slack), axis=1))
+    return L, ok.all(axis=1) & (lam > 0.0) & (lam < _LAM_CAP)
 
 
-def _barrier_value(L1, L2, lam):
-    return -(_logdet_from_chol(L1) + _logdet_from_chol(L2) + np.log(lam) + np.log(_LAM_CAP - lam))
+def _barrier_value(L, lam):
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    return -(logdet[:, 0] + logdet[:, 1] + np.log(lam) + np.log(_LAM_CAP - lam))
+
+
+def _tril_inv4(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack (..., 4, 4) of lower-triangular factors.
+
+    Forward substitution on the identity, one row at a time and
+    elementwise over the stack, so each result is independent of the
+    batch it is computed in.
+    """
+    M = np.zeros_like(L)
+    for i in range(4):
+        row = -np.sum(L[..., i, :i, None] * M[..., :i, :], axis=-2)
+        row[..., i] += 1.0
+        M[..., i, :] = row / L[..., i, i, None]
+    return M
+
+
+# [D_1 | ... | D_5]: one 4x20 right factor for all shared directions
+_DIRS_WIDE = np.ascontiguousarray(_DIRS.transpose(1, 0, 2).reshape(4, 20))
+
+
+def _congruence(M: np.ndarray, *extra_left: np.ndarray) -> np.ndarray:
+    """Flattened W_i = M A_i M^T, shape (k, m, 16).
+
+    The A_i are the five shared directions ``_DIRS``, followed by one
+    direction per block of ``extra_left``, which holds M A_i (k, 4, 4).
+    """
+    k = M.shape[0]
+    left = (M @ _DIRS_WIDE).reshape(k, 4, 5, 4).swapaxes(1, 2).reshape(k, 20, 4)
+    if extra_left:
+        left = np.concatenate((left, *extra_left), axis=1)
+    return (left @ M.swapaxes(1, 2)).reshape(k, -1, 16)
+
+
+def _gram(W: np.ndarray) -> np.ndarray:
+    # a contiguous transpose keeps matmul on its BLAS path
+    return W @ np.ascontiguousarray(W.swapaxes(1, 2))
+
+
+def _cone_newton_system(L, bells):
+    """Gradient and Hessian of -logdet(sigma) - logdet(slack) in (t, lam, mu).
+
+    With S = L L^T and W_i = L^-1 A_i L^-T, d/dx_i (-logdet S) = -tr W_i
+    and the Hessian tr(S^-1 A_i S^-1 A_j) is the Gram matrix <W_i, W_j>
+    (Vandenberghe & Boyd, SIAM Review 38, 1996), so both come from the
+    feasibility Cholesky factors without forming an inverse.  sigma moves
+    along the five shared directions; the slack along those, -B and -I.
+    """
+    M = _tril_inv4(L)
+    M1, M2 = M[:, 0], M[:, 1]
+    W1 = _congruence(M1)
+    W2 = _congruence(M2, -(M2 @ bells), -M2)
+    grad = -W2[..., ::5].sum(axis=-1)  # entries 0, 5, 10, 15: the trace
+    grad[:, :5] -= W1[..., ::5].sum(axis=-1)
+    hess = _gram(W2)
+    hess[:, :5, :5] += _gram(W1)
+    return grad, hess
 
 
 def solve_fab_batch(
@@ -220,6 +289,9 @@ def solve_fab_batch(
     snap_lam = lam.copy()
     snap_mu = mu.copy()
     snap_eta = np.zeros(n)
+    # Cholesky factors of (sigma, slack) at the current iterates; a step's
+    # accepted line-search trial is the next iterate, so its factors carry over
+    chol, _ = _feasible(t, lam, mu, bells)
 
     for eta in etas:
         active = live.copy()
@@ -229,28 +301,13 @@ def solve_fab_batch(
             idx = np.nonzero(active)[0]
             tb, lamb, mub = t[idx], lam[idx], mu[idx]
             bb, cb = bells[idx], c[idx]
-            sig, slack, L1, L2, okc = _feasible(tb, lamb, mub, bb)
-            inv1 = np.linalg.inv(sig)
-            inv2 = np.linalg.inv(slack)
-
-            # direction matrices for the slack cone: 5 shared, -B, -I
+            L = chol[idx]
             k = idx.size
-            dirs2 = np.empty((k, 7, 4, 4))
-            dirs2[:, :5] = _DIRS
-            dirs2[:, 5] = -bb
-            dirs2[:, 6] = -_I4
 
-            w1 = np.einsum("nab,ibc->niac", inv1, _DIRS)
-            w2 = np.einsum("nab,nibc->niac", inv2, dirs2)
-
-            grad = -eta * cb
-            grad[:, :5] -= np.einsum("niaa->ni", w1)
-            grad -= np.einsum("niaa->ni", w2)
+            grad, hess = _cone_newton_system(L, bb)
+            grad -= eta * cb
             grad[:, 5] -= 1.0 / lamb
             grad[:, 5] += 1.0 / (_LAM_CAP - lamb)
-
-            hess = np.einsum("niab,njba->nij", w2, w2)
-            hess[:, :5, :5] += np.einsum("niab,njba->nij", w1, w1)
             hess[:, 5, 5] += 1.0 / lamb**2 + 1.0 / (_LAM_CAP - lamb) ** 2
 
             # near-degenerate slack cones push the condition number past
@@ -268,37 +325,31 @@ def solve_fab_batch(
             done_now = dec2 <= 0.04
             damp = np.where(dec2 > 0.0625, 1.0 / (1.0 + np.sqrt(dec2)), 1.0)
 
-            f_old = _barrier_value(L1, L2, lamb) - eta * (
+            f_old = _barrier_value(L, lamb) - eta * (
                 cb[:, 5] * lamb + cb[:, 6] * mub
             )
             scale = damp.copy()
             accepted = np.zeros(k, dtype=bool)
-            new_t, new_lam, new_mu = tb.copy(), lamb.copy(), mub.copy()
             for _bt in range(40):
-                trial = ~accepted & ~done_now
-                if not np.any(trial):
+                # only rows still searching are stepped and evaluated
+                rows = np.nonzero(~accepted & ~done_now)[0]
+                if rows.size == 0:
                     break
-                tt = tb + scale[:, None] * step[:, :5]
-                tl = lamb + scale * step[:, 5]
-                tm = mub + scale * step[:, 6]
-                _, _, tL1, tL2, tok = _feasible(tt, tl, tm, bb)
-                f_new = np.where(
-                    tok,
-                    _barrier_value(
-                        np.where(tok[:, None, None], tL1, np.eye(4)),
-                        np.where(tok[:, None, None], tL2, np.eye(4)),
-                        np.where(tok, tl, 1.0),
-                    )
-                    - eta * (cb[:, 5] * tl + cb[:, 6] * tm),
-                    np.inf,
+                s = scale[rows]
+                tt = tb[rows] + s[:, None] * step[rows, :5]
+                tl = lamb[rows] + s * step[rows, 5]
+                tm = mub[rows] + s * step[rows, 6]
+                tL, tok = _feasible(tt, tl, tm, bb[rows])
+                ok_rows = rows[tok]
+                f_new = np.full(rows.size, np.inf)
+                f_new[tok] = _barrier_value(tL[tok], tl[tok]) - eta * (
+                    cb[ok_rows, 5] * tl[tok] + cb[ok_rows, 6] * tm[tok]
                 )
-                good = trial & tok & (f_new <= f_old + 1e-9 * np.abs(f_old))
-                new_t[good] = tt[good]
-                new_lam[good] = tl[good]
-                new_mu[good] = tm[good]
-                accepted |= good
-                scale = np.where(trial & ~good, scale * 0.5, scale)
-            t[idx], lam[idx], mu[idx] = new_t, new_lam, new_mu
+                good = tok & (f_new <= f_old[rows] + 1e-9 * np.abs(f_old[rows]))
+                gi = idx[rows[good]]
+                t[gi], lam[gi], mu[gi], chol[gi] = tt[good], tl[good], tm[good], tL[good]
+                accepted[rows[good]] = True
+                scale[rows[~good]] *= 0.5
             iters[idx] += 1
             cent = idx[done_now]
             snap_t[cent] = t[cent]
@@ -350,22 +401,10 @@ def solve_fab_batch(
     }
 
 
-_STATUS_NAMES = {0: "optimal", 1: "max-iter", 2: "infeasible"}
-
-
 def solve_fab(problem: FabProblem, gap_tol: float = 1e-8) -> FabSolution:
     """Solve a single fidelity program instance."""
     out = solve_fab_batch(problem.bell_op[None, :, :], np.array([problem.omega]), gap_tol=gap_tol)
-    return FabSolution(
-        value=float(out["value"][0]),
-        lam=float(out["lam"][0]),
-        mu=float(out["mu"][0]),
-        t=out["t"][0],
-        status=_STATUS_NAMES[int(out["status"][0])],
-        gap_bound=float(out["gap_bound"][0]),
-        iterations=int(out["iterations"][0]),
-        psd_slack=float(out["psd_slack"][0]),
-    )
+    return FabSolution.from_batch(out, 0)
 
 
 _GEN9_NAMES = [(i, j) for i in "XZY" for j in "XZY"]

@@ -10,6 +10,7 @@ from discert.bellops import (
     AnglePair,
     BellFunctional,
     bell_operator,
+    bell_operator_stack,
     chsh,
     lipschitz_constants,
     load_functional,
@@ -50,6 +51,23 @@ def test_bell_operator_fixtures():
     assert abs(eigvals_sym(b00)[-1] - 2.0) < 1e-12
     b_opt = bell_operator(f, AnglePair(math.pi / 4, math.pi / 4))
     assert abs(eigvals_sym(b_opt)[-1] - 2.0 * RT2) < 1e-10
+
+
+def test_bell_operator_stack_matches_kron_sum():
+    # reference: the defining sum of Kronecker products of party observables
+    f = BellFunctional("mixed", ((1.0, -0.5), (0.75, -1.0)), (0.2, -0.3), (0.0, 0.4),
+                       -4.0, 4.0, -4.0, 4.0, 1.0)
+    rng = np.random.default_rng(8)
+    a, b = rng.uniform(0.0, math.pi / 2, size=(2, 50))
+    stack = bell_operator_stack(f, a, b)
+    eye = np.eye(2)
+    for i in range(a.size):
+        ref = sum(f.gamma[x][y] * np.kron(observable(a[i], x), observable(b[i], y))
+                  for x in (0, 1) for y in (0, 1))
+        ref = ref + sum(f.cA[x] * np.kron(observable(a[i], x), eye) for x in (0, 1))
+        ref = ref + sum(f.cB[y] * np.kron(eye, observable(b[i], y)) for y in (0, 1))
+        assert np.allclose(stack[i], ref, rtol=0.0, atol=1e-14)
+        assert np.array_equal(bell_operator(f, AnglePair(a[i], b[i])), stack[i])
 
 
 def test_bell_operator_zero_functional():
@@ -131,8 +149,6 @@ def _rand_density4(rng):
 
 def test_lipschitz_bound_empirical():
     # direct test of the trace-difference bound behind the grid penalty
-    from discert.extract import _bell_operator_stack
-
     f = chsh()
     c0, c1 = lipschitz_constants(f)
     rng = np.random.default_rng(12)
@@ -141,8 +157,8 @@ def test_lipschitz_bound_empirical():
     raw = rng.normal(size=(n, 4, 4))
     psd = np.einsum("nij,nkj->nik", raw, raw)
     rhos = psd / np.trace(psd, axis1=1, axis2=2)[:, None, None]
-    lhs = np.einsum("nij,nji->n", _bell_operator_stack(f, a2, b2), rhos)
-    rhs = np.einsum("nij,nji->n", _bell_operator_stack(f, a, b), rhos)
+    lhs = np.einsum("nij,nji->n", bell_operator_stack(f, a2, b2), rhos)
+    rhs = np.einsum("nij,nji->n", bell_operator_stack(f, a, b), rhos)
     assert np.all(lhs <= rhs + c0 * np.abs(a2 - a) + c1 * np.abs(b2 - b) + 1e-9)
 
 

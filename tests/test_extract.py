@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from discert import extract
 from discert.bellops import AnglePair, bell_operator, chsh
 from discert.extract import (
     OMEGA_STAR,
@@ -130,10 +131,22 @@ class TestSweep:
         b = xi_lower_bound(chsh(), GridSpec(delta=0.25, mode="tight", omega_knots=knots), workers=1)
         assert np.all(b.values >= a.values - 1e-12)
 
-    def test_parallel_matches_serial(self):
-        spec = GridSpec(delta=0.25, omega_knots=(2.0, 2.3, 2.6, S2))
+    def test_parallel_matches_serial(self, monkeypatch):
+        # delta 0.05 gives solver calls of >= 512 rows, which the sweep
+        # splits over the pool; smaller calls never reach it
+        pool_maps = []
+
+        class RecordingPool(extract.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                pool_maps.append(fn)
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(extract, "ProcessPoolExecutor", RecordingPool)
+        spec = GridSpec(delta=0.05, omega_knots=(2.0, 2.4, S2))
         a = xi_lower_bound(chsh(), spec, workers=1)
-        b = xi_lower_bound(chsh(), spec, workers=4)
+        b = xi_lower_bound(chsh(), spec, workers=2)
+        assert pool_maps, "the pooled path did not run"
+        assert a.to_json() == b.to_json()
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.raw_values, b.raw_values)
 

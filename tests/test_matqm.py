@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discert.matqm import DensityMat, HermMat, eig_sym, eigvals_sym, fidelity, kron, partial_trace, pauli
+from oracles import jacobi_eig
 
 RT2 = np.sqrt(2.0)
 
@@ -44,9 +45,9 @@ def test_kron_identities():
 
 
 def test_kron_xx_zz_top_eigenvalue():
-    # oracle: numpy's eigensolver, independent of the Jacobi path
+    # oracle: the cyclic-Jacobi solver in tests/oracles.py
     m = kron(pauli("X"), pauli("X")) + kron(pauli("Z"), pauli("Z"))
-    top = np.linalg.eigvalsh(m)[-1]
+    top = jacobi_eig(m.real)[0][-1]
     assert abs(top - 2.0) < 1e-12
     assert abs(eigvals_sym(m)[-1] - top) < 1e-10
 
@@ -123,6 +124,37 @@ def test_eig_sym_reconstruction(seed):
     norm = max(np.linalg.norm(m), 1e-30)
     assert np.linalg.norm(m - rec) <= 1e-10 * norm + 1e-12
     assert abs(lam.sum() - np.trace(m)) <= 1e-10 * max(1.0, abs(np.trace(m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]), st.booleans())
+def test_eig_sym_matches_jacobi_oracle(seed, dim, degenerate):
+    rng = np.random.default_rng(seed)
+    m = rand_sym(rng, dim, scale=3.0)
+    if degenerate:  # repeated eigenvalue, as in Bell operators
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        w = np.repeat(rng.normal(size=(dim + 1) // 2), 2)[:dim]
+        m = (q * w) @ q.T
+        m = 0.5 * (m + m.T)
+    ref, _ = jacobi_eig(m)
+    es = eig_sym(m)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.all(np.abs(es.values - ref) <= 1e-12 * scale)
+    assert np.all(np.abs(eigvals_sym(m) - ref) <= 1e-12 * scale)
+    # eigenpairs, whatever basis a degenerate eigenspace gets
+    assert np.linalg.norm(m @ es.vectors - es.vectors * es.values) <= 1e-12 * scale
+
+
+def test_eig_sym_input_checks():
+    with pytest.raises(ValueError):
+        eig_sym(np.array([[1.0, 1j], [-1j, 1.0]]))
+    with pytest.raises(ValueError):
+        eigvals_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        eig_sym(np.eye(5))
+    es = eig_sym(np.diag([2.0, 1.0]).astype(complex))  # zero imaginary part is accepted
+    assert es.values.dtype == np.float64
+    assert np.array_equal(es.values, [1.0, 2.0])
 
 
 def test_fidelity_fixtures():

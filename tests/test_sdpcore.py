@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 from discert.bellops import AnglePair, bell_operator, chsh
 from discert.matqm import kron, partial_trace, pauli
 from discert.sdpcore import (
+    _DIRS,
     GENERATORS,
     FabProblem,
+    FabSolution,
+    _chol4,
+    _cone_newton_system,
+    _feasible,
+    _tril_inv4,
     bell_diag_sigma,
     phi_plus,
     solve_fab,
@@ -19,6 +25,7 @@ from discert.sdpcore import (
     tightness_probe,
     weak_duality_witness,
 )
+from oracles import cone_newton_system_by_inverse
 
 RT2 = math.sqrt(2.0)
 B_OPT = bell_operator(chsh(), AnglePair(math.pi / 4, math.pi / 4))
@@ -190,3 +197,63 @@ def test_problem_validation():
         FabProblem(bell_op=np.ones((3, 3)), omega=0.0)
     with pytest.raises(ValueError):
         FabProblem(bell_op=np.triu(np.ones((4, 4))), omega=0.0)
+
+
+def _strictly_feasible_iterates(rng, k):
+    """Random (t, lam, mu, B) with both cones positive definite by margins
+    drawn log-uniformly from [1e-4, 1e-1] (sigma) and [1e-4, 1] (slack)."""
+    a = rng.normal(size=(k, 4, 4))
+    bells = (a + a.transpose(0, 2, 1)) / 2.0
+    t = rng.uniform(-1.0, 1.0, size=(k, 5))
+    lo = np.linalg.eigvalsh(bell_diag_sigma(t))[:, 0]
+    margin = 10.0 ** rng.uniform(-4.0, -1.0, size=k)
+    t *= np.where(lo < margin, (0.25 - margin) / (0.25 - lo), 1.0)[:, None]
+    lam = rng.uniform(0.01, 3.0, size=k)
+    sig = bell_diag_sigma(t)
+    mu = np.linalg.eigvalsh(sig - lam[:, None, None] * bells)[:, 0] - 10.0 ** rng.uniform(-4.0, 0.0, size=k)
+    slack = sig - lam[:, None, None] * bells - mu[:, None, None] * np.eye(4)
+    return t, lam, mu, bells, sig, slack
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_newton_system_matches_inverse_oracle(seed):
+    t, lam, mu, bells, sig, slack = _strictly_feasible_iterates(np.random.default_rng(seed), 500)
+    L, ok = _feasible(t, lam, mu, bells)
+    assert ok.all()
+    grad, hess = _cone_newton_system(L, bells)
+    grad_o, hess_o = cone_newton_system_by_inverse(sig, slack, bells, _DIRS)
+    g_scale = np.abs(grad_o).max(axis=1, keepdims=True)
+    h_scale = np.abs(hess_o).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(grad - grad_o) <= 1e-10 * g_scale)
+    assert np.all(np.abs(hess - hess_o) <= 1e-10 * h_scale)
+
+
+@pytest.mark.parametrize("floor", [1.0, 1e-4, 1e-8, 1e-11])
+def test_cholesky_inverse_matches_linalg_inv(floor):
+    # SPD stacks with spectra from [floor, 10]: down to cond ~ 1e12
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(300, 4, 4)))
+    w = 10.0 ** rng.uniform(np.log10(floor), 1.0, size=(300, 4))
+    w[:, 0] = floor
+    mats = (q * w[:, None, :]) @ q.transpose(0, 2, 1)
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+    L, ok = _chol4(mats)
+    assert ok.all()
+    inv_l = _tril_inv4(L)
+    assert np.all(np.triu(inv_l, 1) == 0.0)
+    ref_l = np.linalg.inv(L)
+    err_l = np.abs(inv_l - ref_l).max(axis=(1, 2)) / np.abs(ref_l).max(axis=(1, 2))
+    assert err_l.max() <= 1e-12
+    ref = np.linalg.inv(mats)
+    err = np.abs(inv_l.transpose(0, 2, 1) @ inv_l - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.linalg.cond(mats))
+
+
+def test_solution_from_batch_row():
+    out = solve_fab_batch(np.stack([B_OPT, B_OPT]), np.array([2.4, 2.0 * RT2 + 0.01]))
+    sol, bad = FabSolution.from_batch(out, 0), FabSolution.from_batch(out, 1)
+    assert (sol.status, bad.status) == ("optimal", "infeasible")
+    assert sol.value == float(out["value"][0])
+    assert sol.iterations == int(out["iterations"][0])
+    assert np.array_equal(sol.t, out["t"][0])
+    assert sol.value == pytest.approx(solve_fab(FabProblem(bell_op=B_OPT, omega=2.4)).value, abs=1e-12)
