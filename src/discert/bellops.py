@@ -73,14 +73,11 @@ class BellFunctional:
 
     @property
     def has_marginals(self) -> bool:
-        return any(abs(c) > 0.0 for c in self.cA + self.cB)
+        return self.cA != (0.0, 0.0) or self.cB != (0.0, 0.0)
 
     @property
     def is_chsh(self) -> bool:
-        return (
-            self.gamma == ((1.0, 1.0), (1.0, -1.0))
-            and not self.has_marginals
-        )
+        return self.gamma == ((1.0, 1.0), (1.0, -1.0)) and not self.has_marginals
 
     def coeff_rescaled(self, x: int, y: int) -> float:
         """gamma~_{xy} = (-1)^{xy} gamma_{xy}, the win/lose score weight."""
@@ -181,13 +178,13 @@ def _local_range(gamma, cA, cB) -> tuple[float, float]:
     return min(vals), max(vals)
 
 
-def _golden_polish(f, lo, hi, iters=60):
-    """Golden-section minimizer of a unimodal-ish 1d slice."""
+def _golden_polish(f, lo, hi):
+    """Golden-section minimizer of a unimodal-ish 1d slice, 60 steps."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(60):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)

@@ -31,6 +31,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from .bellops import chsh, load_functional
 from .envelope import build_g_epsilon
 from .extract import AnalyticCurve, ExtractabilityCurve, GridSpec, analytic, xi_lower_bound
@@ -43,8 +44,6 @@ from .simproto import (
     run_protocol,
     transcript_csv,
 )
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -108,7 +107,7 @@ class Run:
     def identity_hash(self) -> str:
         ident = {
             "command": self.command,
-            "version": VERSION,
+            "version": __version__,
             "params": self.params,
             "inputs": self.inputs,
         }
@@ -127,7 +126,7 @@ class Run:
     def finish(self, manifest_path: str) -> None:
         manifest = {
             "command": self.command,
-            "version": VERSION,
+            "version": __version__,
             "argv": self.argv,
             "params": self.params,
             "resolved": self.resolved,
@@ -580,7 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="discert",
         description="Certified singlet-extractability bounds and protocol security calculators.",
     )
-    parser.add_argument("--version", action="version", version=f"discert {VERSION}")
+    parser.add_argument("--version", action="version", version=f"discert {__version__}")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("extract", help="sweep a Bell functional into a certified curve")

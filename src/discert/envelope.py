@@ -34,13 +34,11 @@ __all__ = [
 class PiecewiseLinear:
     """Linear interpolant through strictly ascending knots.
 
-    ``extend`` controls evaluation outside the knot span: 'constant'
-    clamps to the end values, 'linear' continues the end segments.
+    Outside the knot span it is constant at the end values.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    extend: str = "constant"
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -49,8 +47,6 @@ class PiecewiseLinear:
             raise ValueError("need two 1-d arrays with at least 2 knots")
         if not np.all(np.diff(xs) > 0.0):
             raise ValueError("knot abscissae must be strictly ascending")
-        if self.extend not in ("constant", "linear"):
-            raise ValueError("extend must be 'constant' or 'linear'")
         xs = xs.copy()
         ys = ys.copy()
         xs.setflags(write=False)
@@ -61,12 +57,6 @@ class PiecewiseLinear:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.interp(x, self.xs, self.ys)
-        if self.extend == "linear":
-            lo, hi = self.xs[0], self.xs[-1]
-            s0 = (self.ys[1] - self.ys[0]) / (self.xs[1] - self.xs[0])
-            s1 = (self.ys[-1] - self.ys[-2]) / (self.xs[-1] - self.xs[-2])
-            out = np.where(x < lo, self.ys[0] + s0 * (x - lo), out)
-            out = np.where(x > hi, self.ys[-1] + s1 * (x - hi), out)
         return float(out) if out.ndim == 0 else out
 
     @property
@@ -192,6 +182,9 @@ class PenaltyCurve:
         return knots_to_csv(self.base.xs, self.base.ys, comment)
 
 
+_REFINE = 4  # penalty samples per knot interval of the fidelity curve
+
+
 def _zero_crossing(pl: PiecewiseLinear, level: float) -> float | None:
     """Smallest x with pl(x) >= level, exact on the knot segments."""
     xs, ys = pl.xs, pl.ys
@@ -206,18 +199,13 @@ def _zero_crossing(pl: PiecewiseLinear, level: float) -> float | None:
     return None
 
 
-def build_g_epsilon(
-    xi,
-    epsilon: float,
-    domain: tuple[float, float] | None = None,
-    refine: int = 4,
-) -> PenaltyCurve:
+def build_g_epsilon(xi, epsilon: float) -> PenaltyCurve:
     """Construct the penalty curve for a fidelity lower-bound curve.
 
-    ``xi`` is a PiecewiseLinear (or anything exposing to_piecewise_linear())
-    that is convex and non-decreasing.  h = max(sqrt(1-xi)-eps, 0) is
-    sampled at ``refine`` times the knot density over ``domain`` (default
-    the functional's quantum range when xi carries one, else the knot
+    ``xi`` is a PiecewiseLinear, or a curve exposing to_piecewise_linear()
+    and ``functional``, that is convex and non-decreasing.  h =
+    max(sqrt(1-xi)-eps, 0) is sampled at four times the knot density over
+    the functional's quantum range (a bare PiecewiseLinear: its knot
     span), each sample value is extended rightward across its interval
     (h is non-increasing, so the left value bounds the interval), and the
     upper concave hull of the extended set is returned.  The exact point
@@ -227,24 +215,19 @@ def build_g_epsilon(
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     if hasattr(xi, "to_piecewise_linear"):
-        if domain is None and hasattr(xi, "functional"):
-            domain = (xi.functional.eta_q_min, xi.functional.eta_q_max)
+        lo, hi = xi.functional.eta_q_min, xi.functional.eta_q_max
         xi = xi.to_piecewise_linear()
-    if not isinstance(xi, PiecewiseLinear):
+    elif isinstance(xi, PiecewiseLinear):
+        lo, hi = xi.span
+    else:
         raise TypeError("xi must be a PiecewiseLinear or provide to_piecewise_linear()")
     if np.any(np.diff(xi.ys) < -1e-9):
         raise ValueError("xi must be non-decreasing")
     slopes = np.diff(xi.ys) / np.diff(xi.xs)
     if np.any(np.diff(slopes) < -1e-9):
         raise ValueError("xi must be convex")
-    lo, hi = xi.span
-    if domain is not None:
-        lo, hi = float(domain[0]), float(domain[1])
-        if not lo < hi:
-            raise ValueError("domain must be an increasing pair")
 
-    knot_step = float(np.min(np.diff(xi.xs)))
-    step = knot_step / max(int(refine), 1)
+    step = float(np.min(np.diff(xi.xs))) / _REFINE
     n = max(int(math.ceil((hi - lo) / step)), 2)
     samples = np.linspace(lo, hi, n + 1)
     keep = [samples, xi.xs[(xi.xs > lo) & (xi.xs < hi)]]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "GridSpec",
     "ExtractabilityCurve",
     "AnalyticCurve",
-    "feasible_cells",
     "xi_lower_bound",
     "analytic",
     "bardyn_locc",
@@ -94,47 +94,23 @@ def _is_swap_symmetric(f: BellFunctional) -> bool:
     return g[0][1] == g[1][0] and f.cA == f.cB
 
 
-def feasible_cells(f: BellFunctional, omega: float, g: GridSpec) -> list[AnglePair]:
-    """Grid pairs whose operator maximum clears omega minus the penalty."""
-    vals = g.angle_values()
-    a_idx, b_idx = np.meshgrid(np.arange(vals.size), np.arange(vals.size), indexing="ij")
-    a_idx = a_idx.ravel()
-    b_idx = b_idx.ravel()
-    bells = bell_operator_stack(f, vals[a_idx], vals[b_idx])
-    lam_max = np.linalg.eigvalsh(bells)[:, -1]
-    mask = lam_max >= omega - g.penalty(f)
-    return [AnglePair(vals[i], vals[j]) for i, j in zip(a_idx[mask], b_idx[mask])]
-
-
 def _solve_chunk(args) -> dict[str, np.ndarray]:
-    bells, omega_prime, gap_tol = args
-    return solve_fab_batch(bells, np.full(bells.shape[0], omega_prime), gap_tol=gap_tol)
+    bells, omega_prime = args
+    return solve_fab_batch(bells, np.full(bells.shape[0], omega_prime))
 
 
 def _solve_indices(
     bells: np.ndarray,
     idx: np.ndarray,
     omega_prime: float,
-    gap_tol: float,
     pool: ProcessPoolExecutor | None,
     workers: int,
 ) -> dict[str, np.ndarray]:
-    if idx.size == 0:
-        return {
-            "value": np.empty(0),
-            "lam": np.empty(0),
-            "mu": np.empty(0),
-            "t": np.empty((0, 5)),
-            "status": np.empty(0, dtype=int),
-            "gap_bound": np.empty(0),
-            "iterations": np.empty(0, dtype=int),
-            "psd_slack": np.empty(0),
-        }
     sub = bells[idx]
     if pool is None or idx.size < 2 * _SEED_BATCH:
-        return _solve_chunk((sub, omega_prime, gap_tol))
+        return _solve_chunk((sub, omega_prime))
     n_chunks = min(4 * workers, max(1, idx.size // _SEED_BATCH))
-    parts = list(pool.map(_solve_chunk, [(c, omega_prime, gap_tol) for c in np.array_split(sub, n_chunks)]))
+    parts = list(pool.map(_solve_chunk, [(c, omega_prime) for c in np.array_split(sub, n_chunks)]))
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
@@ -191,11 +167,6 @@ class ExtractabilityCurve:
     def to_piecewise_linear(self) -> PiecewiseLinear:
         return PiecewiseLinear(self.omegas, self.values)
 
-    def g_epsilon(self, epsilon: float):
-        from .envelope import build_g_epsilon
-
-        return build_g_epsilon(self, epsilon)
-
     def meta(self) -> dict:
         return {
             "delta": self.delta,
@@ -240,25 +211,14 @@ def _envelope_knot_values(omegas: np.ndarray, clamped: np.ndarray) -> np.ndarray
     return hull(omegas)
 
 
-def xi_lower_bound(
-    f: BellFunctional,
-    g: GridSpec,
-    workers: int | None = None,
-    gap_tol: float = 1e-8,
-    floor_early_exit: bool = False,
-) -> ExtractabilityCurve:
+def xi_lower_bound(f: BellFunctional, g: GridSpec, workers: int | None = None) -> ExtractabilityCurve:
     """Sweep the grid over all score knots and assemble the certified curve.
 
     ``workers`` <= 1 runs serially; otherwise a process pool splits each
-    batch of cell solves.  ``floor_early_exit`` stops exact minimization
-    once a knot minimum hits the trivial floor (every lower knot is then
-    pinned to 1/2; their stored raw values come from re-solving just the
-    previous minimizing cell, which is enough for witness bookkeeping but
-    is only an upper estimate of those knots' true grid minima).
+    batch of cell solves.  Every knot is minimized exactly over its
+    feasible cells; ``raw_values`` are those grid minima.
     """
     if workers is None:
-        import os
-
         workers = min(os.cpu_count() or 1, 8)
     knots = g.knots_for(f)
     m = g.penalty(f)
@@ -277,7 +237,6 @@ def xi_lower_bound(
     have = np.zeros(n_cells, dtype=bool)
     s_lam = np.zeros(n_cells)
     s_mu = np.zeros(n_cells)
-    s_t = np.zeros((n_cells, 5))
 
     order = np.argsort(knots)[::-1]
     raw = np.full(knots.size, np.nan)
@@ -287,24 +246,12 @@ def xi_lower_bound(
 
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        pinned_from: int | None = None
-        for pos, ki in enumerate(order):
-            omega = float(knots[ki])
-            omega_p = omega - m
-            feas = lam_max >= omega - m
+        for ki in order:
+            omega_p = float(knots[ki]) - m
+            feas = lam_max >= omega_p
             if not np.any(feas):
                 continue
             valid[ki] = True
-
-            if pinned_from is not None:
-                # floor already certified for this and every lower knot;
-                # re-solve just the last minimizing cell to keep a witness
-                cell = arg_cell[order[pinned_from]]
-                out = _solve_indices(bells, np.array([cell]), omega_p, gap_tol, None, workers)
-                raw[ki] = float(out["value"][0])
-                arg_cell[ki] = cell
-                arg_sol[ki] = FabSolution.from_batch(out, 0)
-                continue
 
             new_idx = np.nonzero(feas & ~have)[0]
             old_idx = np.nonzero(feas & have)[0]
@@ -317,38 +264,26 @@ def xi_lower_bound(
             seed_idx = old_idx[seed_pos]
 
             first = np.sort(np.concatenate([new_idx, seed_idx]))
-            out1 = _solve_indices(bells, first, omega_p, gap_tol, pool, workers)
+            out1 = _solve_indices(bells, first, omega_p, pool, workers)
             seed_min = float(np.min(out1["value"])) if first.size else math.inf
 
             rest_mask = np.ones(old_idx.size, dtype=bool)
             rest_mask[seed_pos] = False
             survivors = old_idx[rest_mask & (bound < seed_min)]
-            out2 = _solve_indices(bells, survivors, omega_p, gap_tol, pool, workers)
+            out2 = _solve_indices(bells, survivors, omega_p, pool, workers)
 
             solved = np.concatenate([first, survivors])
-            values = np.concatenate([out1["value"], out2["value"]])
             var_order = np.argsort(solved, kind="stable")
             solved = solved[var_order]
-            values = values[var_order]
-            merged = {
-                k: np.concatenate([out1[k], out2[k]])[var_order] for k in ("lam", "mu", "t")
-            }
+            full = {k: np.concatenate([out1[k], out2[k]])[var_order] for k in out1}
             have[solved] = True
-            s_lam[solved] = merged["lam"]
-            s_mu[solved] = merged["mu"]
-            s_t[solved] = merged["t"]
+            s_lam[solved] = full["lam"]
+            s_mu[solved] = full["mu"]
 
-            best = int(np.argmin(values))
-            raw[ki] = float(values[best])
+            best = int(np.argmin(full["value"]))
+            raw[ki] = float(full["value"][best])
             arg_cell[ki] = int(solved[best])
-            full = {
-                k: np.concatenate([out1[k], out2[k]])[var_order]
-                for k in ("value", "lam", "mu", "t", "status", "gap_bound", "iterations", "psd_slack")
-            }
             arg_sol[ki] = FabSolution.from_batch(full, best)
-
-            if floor_early_exit and raw[ki] <= FLOOR:
-                pinned_from = pos
     finally:
         if pool is not None:
             pool.shutdown()

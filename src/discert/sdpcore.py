@@ -19,8 +19,9 @@ seven scalar variables.  The solver is a log-det barrier path-following
 method with analytic gradients and Hessians; everything is vectorized
 over stacks of problems so grid sweeps can batch thousands of cells.
 
-An independent projected-supergradient oracle and a sampling witness are
-provided as cross-checks; they share no iterates with the barrier solver.
+The independent cross-checks (a projected-supergradient solver, sampled
+weak-duality witnesses and a tightness probe) live with the test suite in
+``tests/oracles.py``; they share no iterates with the barrier solver.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import math
 
 import numpy as np
 
-from .bellops import AnglePair
-from .matqm import eig_sym, kron, pauli
+from .matqm import kron, pauli
 
 __all__ = [
     "FabProblem",
@@ -41,10 +41,6 @@ __all__ = [
     "phi_plus",
     "solve_fab",
     "solve_fab_batch",
-    "supergrad_oracle",
-    "weak_duality_margin",
-    "weak_duality_witness",
-    "tightness_probe",
 ]
 
 _X = pauli("X").real
@@ -67,6 +63,10 @@ _DIRS = GENERATORS / 4.0  # d sigma / d t_i
 _I4 = np.eye(4)
 _LAM_CAP = 1e4  # keeps the barrier bounded when lam is objective-neutral
 _NU = 10.0  # total barrier parameter: two 4x4 cones + two scalar bounds
+_MAX_INNER = 80  # Newton steps per barrier stage
+# barrier weights 1, 8, ..., 8**11; the last is the first past 2*nu/1e-8, so
+# a centered final iterate certifies a duality gap below 1e-8
+_ETAS = tuple(8.0**k for k in range(12))
 
 
 def phi_plus() -> np.ndarray:
@@ -83,11 +83,10 @@ def bell_diag_sigma(t: np.ndarray) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class FabProblem:
-    """One program instance: Bell operator, threshold, optional angle tag."""
+    """One program instance: Bell operator and threshold."""
 
     bell_op: np.ndarray
     omega: float
-    angles: AnglePair | None = None
 
     def __post_init__(self) -> None:
         b = np.asarray(self.bell_op, dtype=float)
@@ -241,13 +240,7 @@ def _cone_newton_system(L, bells):
     return grad, hess
 
 
-def solve_fab_batch(
-    bells: np.ndarray,
-    omegas: np.ndarray,
-    gap_tol: float = 1e-8,
-    max_outer: int = 60,
-    max_inner: int = 80,
-) -> dict[str, np.ndarray]:
+def solve_fab_batch(bells: np.ndarray, omegas: np.ndarray) -> dict[str, np.ndarray]:
     """Solve a stack of fidelity programs; see module docstring.
 
     Returns arrays value, lam, mu, t, status (0 optimal, 1 max-iter,
@@ -272,15 +265,6 @@ def solve_fab_batch(
     c[:, 5] = omegas
     c[:, 6] = 1.0
 
-    etas = []
-    eta = 1.0
-    while eta < 2.0 * _NU / max(gap_tol, 1e-300):
-        etas.append(eta)
-        eta *= 8.0
-    etas.append(eta)
-    if len(etas) > max_outer:
-        etas = etas[:max_outer]
-
     iters = np.zeros(n, dtype=int)
     # snapshot of the last well-centered iterate per problem; the duality gap
     # certificate 2*nu/eta only holds at (approximate) centers, so the final
@@ -293,9 +277,9 @@ def solve_fab_batch(
     # accepted line-search trial is the next iterate, so its factors carry over
     chol, _ = _feasible(t, lam, mu, bells)
 
-    for eta in etas:
+    for eta in _ETAS:
         active = live.copy()
-        for _ in range(max_inner):
+        for _ in range(_MAX_INNER):
             if not np.any(active):
                 break
             idx = np.nonzero(active)[0]
@@ -401,203 +385,7 @@ def solve_fab_batch(
     }
 
 
-def solve_fab(problem: FabProblem, gap_tol: float = 1e-8) -> FabSolution:
+def solve_fab(problem: FabProblem) -> FabSolution:
     """Solve a single fidelity program instance."""
-    out = solve_fab_batch(problem.bell_op[None, :, :], np.array([problem.omega]), gap_tol=gap_tol)
+    out = solve_fab_batch(problem.bell_op[None, :, :], np.array([problem.omega]))
     return FabSolution.from_batch(out, 0)
-
-
-_GEN9_NAMES = [(i, j) for i in "XZY" for j in "XZY"]
-
-
-def _generators9() -> np.ndarray:
-    ps = {"X": _X, "Y": _Y, "Z": _Z}
-    return np.stack([kron(ps[i], ps[j]) for i, j in _GEN9_NAMES])
-
-
-def _project_coeffs(that: np.ndarray, dirs: np.ndarray, rounds: int = 12) -> np.ndarray:
-    """Euclidean projection of coefficients onto {t : sigma(t) PSD}.
-
-    The generators are Frobenius-orthogonal, so projecting t is projecting
-    sigma onto the intersection of the PSD cone with the affine slice
-    I/4 + span(dirs); Dykstra alternation between the two does that.
-    """
-    complex_path = np.iscomplexobj(dirs)
-    eye = np.eye(4, dtype=complex if complex_path else float)
-    x = eye / 4.0 + np.einsum("i,iab->ab", that, dirs)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(rounds):
-        w, v = np.linalg.eigh(x + p)
-        y = (v * np.maximum(w, 0.0)) @ v.conj().T
-        p = x + p - y
-        coeff = 4.0 * np.real(np.einsum("iab,ba->i", dirs.conj(), y + q))
-        x_new = eye / 4.0 + np.einsum("i,iab->ab", coeff, dirs)
-        q = y + q - x_new
-        x = x_new
-    t = 4.0 * np.real(np.einsum("iab,ba->i", dirs.conj(), x))
-    lo = float(np.linalg.eigvalsh(x)[0])
-    if lo < 0.0:  # mop up the Dykstra residual radially
-        t = t * (0.25 / (0.25 - lo + 1e-15))
-    return t
-
-
-def supergrad_oracle(
-    problem: FabProblem,
-    iters: int = 1500,
-    seed: int = 0,
-    family: str = "real5",
-) -> float:
-    """Independent cross-check: projected supergradient ascent.
-
-    Maximizes g(t, lam) = lam*omega + lambda_min(sigma(t) - lam*B) over the
-    marginal-free family and lam >= 0, using deflected supergradients with
-    adaptive target-level steps and Euclidean projection back onto the PSD
-    slice.  Every iterate is feasible, so the running best is a certified
-    value.  First-order throughout; shares no iterates or decompositions
-    with the barrier solver.  family='complex9' uses all nine correlation
-    products (complex Hermitian path).
-    """
-    if family == "real5":
-        dirs = _DIRS
-    elif family == "complex9":
-        dirs = _generators9() / 4.0
-    else:
-        raise ValueError("family must be 'real5' or 'complex9'")
-    m = dirs.shape[0]
-    complex_path = np.iscomplexobj(dirs)
-    b = problem.bell_op.astype(complex) if complex_path else problem.bell_op
-    eye = np.eye(4, dtype=complex if complex_path else float)
-    omega = problem.omega
-    rng = np.random.default_rng(seed)
-
-    best = -math.inf
-    restarts = 2
-    for r in range(restarts):
-        if r == 0:
-            t = np.zeros(m)
-            lam = 0.3
-        else:
-            t = _project_coeffs(rng.normal(scale=0.4, size=m), dirs)
-            lam = float(rng.uniform(0.0, 1.5))
-        delta = 0.05
-        d_prev = np.zeros(m + 1)
-        since_improve = 0
-        for k in range(iters // restarts):
-            sig = eye / 4.0 + np.einsum("i,iab->ab", t, dirs)
-            w, v = np.linalg.eigh(sig - lam * b)
-            val = lam * omega + float(w[0])
-            if val > best:
-                if val > best + delta / 4.0:
-                    since_improve = 0
-                best = val
-            since_improve += 1
-            if since_improve > 150:  # level no longer reachable, tighten it
-                delta = max(delta / 2.0, 1e-8)
-                since_improve = 0
-            u = v[:, 0]
-            g_t = np.real(np.einsum("a,iab,b->i", u.conj(), dirs, u))
-            g_lam = omega - float(np.real(u.conj() @ b @ u))
-            g = np.concatenate([g_t, [g_lam]])
-            beta = 0.0
-            nd_prev = float(d_prev @ d_prev)
-            if nd_prev > 0.0:
-                beta = max(0.0, -1.5 * float(g @ d_prev) / nd_prev)
-            d = g + beta * d_prev
-            d_prev = d
-            nd2 = float(d @ d)
-            if nd2 < 1e-28:
-                break
-            alpha = (best + delta - val) / nd2
-            t = _project_coeffs(t + alpha * d[:m], dirs)
-            lam = min(max(lam + alpha * d[m], 0.0), _LAM_CAP)
-    return best
-
-
-def weak_duality_margin(
-    solution: FabSolution,
-    problem: FabProblem,
-    samples: int = 1000,
-    seed: int = 0,
-) -> float:
-    """min over sampled feasible states rho of tr[rho sigma] - value.
-
-    States are drawn by mixing the top eigenvector of B with random states
-    and rescaling the mixture so tr[B rho] >= omega.  A nonnegative return
-    (within tolerance) is the weak-duality sanity check.
-    """
-    rng = np.random.default_rng(seed)
-    es = eig_sym(problem.bell_op)
-    lam_max = float(es.values[-1])
-    if problem.omega > lam_max + 1e-9:
-        raise ValueError("no feasible states: omega exceeds the operator maximum")
-    psi = es.vectors[:, -1]
-    top = np.outer(psi, psi)
-
-    half = samples // 2
-    ranks = [1] * half + [4] * (samples - half)
-    sig = solution.sigma
-    worst = math.inf
-    batch = 512
-    i = 0
-    while i < samples:
-        js = range(i, min(i + batch, samples))
-        k = len(js)
-        r = max(ranks[i : i + k])
-        g = rng.normal(size=(k, 4, r)) + 1j * rng.normal(size=(k, 4, r))
-        for jj, j in enumerate(js):
-            if ranks[j] == 1:
-                g[jj, :, 1:] = 0.0
-        rho = np.einsum("nar,nbr->nab", g, g.conj())
-        rho /= np.einsum("naa->n", rho).real[:, None, None]
-        bval = np.einsum("nab,ba->n", rho, problem.bell_op).real
-        u = rng.uniform(size=k)
-        target = problem.omega + u * (lam_max - problem.omega)
-        denom = lam_max - bval
-        q = np.where(denom > 1e-14, (target - bval) / np.where(denom > 1e-14, denom, 1.0), 0.0)
-        q = np.clip(q, 0.0, 1.0)
-        mixed = q[:, None, None] * top + (1.0 - q[:, None, None]) * rho
-        fid = np.einsum("nab,ba->n", mixed, sig.astype(complex)).real
-        worst = min(worst, float(np.min(fid) - solution.value))
-        i += k
-    return worst
-
-
-def weak_duality_witness(
-    solution: FabSolution,
-    problem: FabProblem,
-    samples: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> bool:
-    """True iff no sampled feasible state undercuts the certified value."""
-    return weak_duality_margin(solution, problem, samples, seed) >= -tol
-
-
-def tightness_probe(problem: FabProblem, solution: FabSolution, null_tol: float = 1e-5) -> float:
-    """|tr[rho* sigma] - value| for a complementary state rho*.
-
-    rho* is built inside the (near-)null space of the slack matrix and mixed
-    so that tr[B rho*] = omega whenever that score is achievable there.  At
-    an optimum such a state exists and attains the bound exactly, so a small
-    return value certifies tightness with an explicit attacking state.
-    """
-    slack = solution.sigma - solution.lam * problem.bell_op - solution.mu * _I4
-    es = eig_sym(slack)
-    scale = max(1.0, float(np.max(np.abs(es.values))))
-    null_dim = int(np.sum(es.values <= null_tol * scale))
-    null_dim = max(null_dim, 1)
-    v = es.vectors[:, :null_dim]
-    m = v.T @ problem.bell_op @ v
-    em = eig_sym(m) if null_dim > 1 else None
-    if em is None:
-        u = v[:, 0]
-        rho = np.outer(u, u)
-    else:
-        lo, hi = float(em.values[0]), float(em.values[-1])
-        target = min(max(problem.omega, lo), hi)
-        q = 0.0 if hi <= lo else (target - lo) / (hi - lo)
-        u_lo = v @ em.vectors[:, 0]
-        u_hi = v @ em.vectors[:, -1]
-        rho = q * np.outer(u_hi, u_hi) + (1.0 - q) * np.outer(u_lo, u_lo)
-    return abs(float(np.einsum("ab,ba->", rho, solution.sigma)) - solution.value)

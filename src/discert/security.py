@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from . import envelope
 from .bellops import BellFunctional, chsh, score_to_value
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "kappa_for_target",
     "zubkov_C",
     "hoeffding_tail",
-    "sweep_over_n",
-    "sweep_csv",
 ]
 
 _PARALLEL = ("P1", "P2", "P3")
@@ -86,22 +85,14 @@ def hoeffding_tail(n: int, r: float, range_width: float) -> float:
     return math.exp(-2.0 * r * r / (n * range_width * range_width))
 
 
-def _is_chsh_game(f: BellFunctional) -> bool:
-    return (
-        f.gamma == ((1.0, 1.0), (1.0, -1.0))
-        and f.cA == (0.0, 0.0)
-        and f.cB == (0.0, 0.0)
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class ProtocolConfig:
     """Parameters of one protocol run; validated on construction.
 
-    ``curve`` supplies the certified extractability bound: any object
-    with evaluate/g_epsilon (swept curve) or callable with
-    to_piecewise_linear (analytic reference).  Simulation-only configs
-    may omit it; soundness requires it.
+    ``curve`` supplies the certified extractability bound: a swept or
+    analytic curve, read through its ``to_piecewise_linear`` and
+    ``functional``.  Simulation-only configs may omit it; soundness
+    requires it.
     """
 
     protocol: str
@@ -138,12 +129,18 @@ class ProtocolConfig:
                 raise ValueError("P4/P5 take p_win_sharp, not omega_sharp")
             if not 0.0 <= self.p_win_sharp <= 1.0:
                 raise ValueError("p_win_sharp must lie in [0, 1]")
-            if not _is_chsh_game(self.functional):
+            if not self.functional.is_chsh:
                 raise ValueError("sequential protocols are defined for the CHSH game only")
 
     @property
     def is_parallel(self) -> bool:
         return self.protocol in _PARALLEL
+
+    @property
+    def concentration_denom(self) -> float:
+        """Exponent denominator of the parallel concentration bound."""
+        g = self.functional.gamma_star
+        return g if self.bound_mode == "paper" else 2.0 * g**2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,8 +170,6 @@ class SecurityReport:
 
 def _fidelity_interp(curve):
     """Vectorized fidelity-bound evaluator, trivially 1/2 left of the knots."""
-    if hasattr(curve, "evaluate"):
-        return lambda x: np.asarray(curve.evaluate(x), dtype=float)
     pl = curve.to_piecewise_linear()
 
     def ev(x):
@@ -186,12 +181,9 @@ def _fidelity_interp(curve):
 
 def _g_interp(curve, epsilon: float):
     """Vectorized evaluator for the concave penalty curve of ``curve``."""
-    if hasattr(curve, "g_epsilon"):
-        g = curve.g_epsilon(epsilon)
-    else:
-        from .envelope import build_g_epsilon
-
-        g = build_g_epsilon(curve, epsilon)
+    # looked up on the module at call time, so wrappers patched onto
+    # ``envelope.build_g_epsilon`` (perfbench/tracing.py) see these calls
+    g = envelope.build_g_epsilon(curve, epsilon)
     xs, ys = g.knot_xs, g.knot_ys
 
     def ev(x):
@@ -205,7 +197,7 @@ def _terms(cfg: ProtocolConfig):
     n = cfg.n
     f = cfg.functional
     if cfg.is_parallel:
-        denom = f.gamma_star if cfg.bound_mode == "paper" else 2.0 * f.gamma_star**2
+        denom = cfg.concentration_denom
 
         def a(d):
             return np.exp(-(n - 1) * np.square(d) / denom)
@@ -318,12 +310,7 @@ def completeness(cfg: ProtocolConfig) -> float:
     """Abort probability bound for an honest device at the threshold."""
     n = cfg.n
     if cfg.is_parallel:
-        denom = (
-            cfg.functional.gamma_star
-            if cfg.bound_mode == "paper"
-            else 2.0 * cfg.functional.gamma_star**2
-        )
-        val = 2.0 * math.exp(-(n - 1) * cfg.kappa**2 / denom)
+        val = 2.0 * math.exp(-(n - 1) * cfg.kappa**2 / cfg.concentration_denom)
     else:
         thr = math.floor((n - 1) * (1.0 - cfg.p_win_sharp + cfg.kappa))
         val = 1.0 - zubkov_C(n - 1, 1.0 - cfg.p_win_sharp, thr)
@@ -335,12 +322,7 @@ def kappa_for_target(cfg: ProtocolConfig, target_eps_c: float) -> float:
     if not 0.0 < target_eps_c < 1.0:
         raise ValueError("target must be in (0, 1)")
     if cfg.is_parallel:
-        denom = (
-            cfg.functional.gamma_star
-            if cfg.bound_mode == "paper"
-            else 2.0 * cfg.functional.gamma_star**2
-        )
-        kap = math.sqrt(denom * math.log(2.0 / target_eps_c) / (cfg.n - 1))
+        kap = math.sqrt(cfg.concentration_denom * math.log(2.0 / target_eps_c) / (cfg.n - 1))
         return kap * (1.0 + 1e-12)  # keep completeness at or below target after rounding
     lo = 1e-12
     hi = cfg.p_win_sharp + 2.0 / (cfg.n - 1)  # threshold saturates at n-1 losses
@@ -353,16 +335,3 @@ def kappa_for_target(cfg: ProtocolConfig, target_eps_c: float) -> float:
         else:
             lo = mid
     return hi
-
-
-def sweep_over_n(cfg: ProtocolConfig, n_values) -> list[SecurityReport]:
-    return [soundness(dataclasses.replace(cfg, n=int(n))) for n in n_values]
-
-
-def sweep_csv(reports: list[SecurityReport]) -> str:
-    lines = ["n,eps_sound,eps_complete,delta_star"]
-    for r in reports:
-        lines.append(
-            f"{int(r.meta['n'])},{r.eps_sound!r},{r.eps_complete!r},{r.delta_star!r}"
-        )
-    return "\n".join(lines) + "\n"

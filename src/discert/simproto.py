@@ -34,7 +34,6 @@ __all__ = [
     "run_protocol",
     "estimate_abort_rate",
     "seq_adversary_value",
-    "seq_adversary_bruteforce",
     "transcript_csv",
     "Scenario",
     "load_scenario",
@@ -175,12 +174,15 @@ def _outcome_mats(theta_a: float, theta_b: float) -> np.ndarray:
     return np.stack([np.kron(pa[a], pb[b]) for a in range(2) for b in range(2)])
 
 
+_ROUND_FIELDS = ("x", "y", "a", "b", "w")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class TrialRecord:
     """Full transcript of one protocol trial.
 
-    Per-round tuples have length n with -1 sentinels at the stored
-    index, which is never measured.  ``omega_exp`` is the parallel
+    Per-round arrays (read-only ints) have length n with -1 sentinels at
+    the stored index, which is never measured.  ``omega_exp`` is the parallel
     estimator (4/n) * sum of the signed score weights, or the win
     fraction converted to the Bell-value scale for sequential runs; the
     sequential abort decision itself uses the integer loss count.
@@ -189,25 +191,33 @@ class TrialRecord:
     protocol: str
     n: int
     t: int
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    w: tuple[int, ...]
+    x: np.ndarray
+    y: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
     omega_exp: float
     aborted: bool
     stored_state: DensityMat
 
+    def __post_init__(self) -> None:
+        for f in _ROUND_FIELDS:
+            arr = np.array(getattr(self, f), dtype=int)
+            arr.setflags(write=False)
+            object.__setattr__(self, f, arr)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialRecord):
             return NotImplemented
-        scalar = ("protocol", "n", "t", "x", "y", "a", "b", "w", "omega_exp", "aborted")
-        return all(getattr(self, f) == getattr(other, f) for f in scalar) and np.array_equal(
-            self.stored_state.mat, other.stored_state.mat
+        scalar = ("protocol", "n", "t", "omega_exp", "aborted")
+        return (
+            all(getattr(self, f) == getattr(other, f) for f in scalar)
+            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ROUND_FIELDS)
+            and np.array_equal(self.stored_state.mat, other.stored_state.mat)
         )
 
     def wins(self) -> int:
-        return sum(v for v in self.w if v > 0)
+        return int(self.w[self.w > 0].sum())
 
     def to_json(self) -> str:
         body = {
@@ -245,8 +255,7 @@ def _round_states(src: SourceModel, n: int) -> np.ndarray:
 
 
 def _require_game_form(cfg: ProtocolConfig) -> None:
-    f = cfg.functional
-    if f.cA != (0.0, 0.0) or f.cB != (0.0, 0.0):
+    if cfg.functional.has_marginals:
         raise ValueError("round estimator supports correlator-only functionals")
 
 
@@ -307,17 +316,15 @@ def run_protocol(cfg: ProtocolConfig, src: SourceModel, dev: DeviceModel, seed: 
         aborted = failures > math.floor((n - 1) * (1.0 - cfg.p_win_sharp + cfg.kappa))
         omega_exp = score_to_value(nwins / n)
 
-    sent = np.where(measured, xs, -1)
-    sent_y = np.where(measured, ys, -1)
     return TrialRecord(
         protocol=cfg.protocol,
         n=n,
         t=t,
-        x=tuple(int(v) for v in sent),
-        y=tuple(int(v) for v in sent_y),
-        a=tuple(int(v) for v in a_bits),
-        b=tuple(int(v) for v in b_bits),
-        w=tuple(int(v) for v in w_bits),
+        x=np.where(measured, xs, -1),
+        y=np.where(measured, ys, -1),
+        a=a_bits,
+        b=b_bits,
+        w=w_bits,
         omega_exp=float(omega_exp),
         aborted=bool(aborted),
         stored_state=src.state_for(t, n),
@@ -387,32 +394,6 @@ def seq_adversary_value(mu_list, c: int) -> float:
         dp[1:] = dp[1:] * (1.0 - m) + dp[:-1] * m
         dp[0] *= 1.0 - m
     return float(dp[max(int(c), 0) :].sum()) if c > 0 else 1.0
-
-
-def seq_adversary_bruteforce(mu_list, c: int, grid_steps: int = 21) -> float:
-    """Max P(wins >= c) over adaptive strategies with gridded round probabilities.
-
-    Each round's conditional win probability is chosen from a uniform
-    grid on [0, mu_i], possibly depending on the full prior win/lose
-    history.  Continuation values depend on the history only through
-    the win count, so backward induction over (round, wins) with a
-    per-node grid max realizes the exact adaptive optimum for the
-    gridded strategy class.
-    """
-    mu = [float(m) for m in mu_list]
-    if len(mu) > 4:
-        raise ValueError("brute force supported for n <= 4")
-    if grid_steps < 2:
-        raise ValueError("grid_steps must be >= 2")
-    n = len(mu)
-    value = np.array([1.0 if wins >= c else 0.0 for wins in range(n + 1)])
-    for i in range(n - 1, -1, -1):
-        grid = np.linspace(0.0, mu[i], grid_steps)
-        nxt = np.empty(i + 1)
-        for wins in range(i + 1):
-            nxt[wins] = np.max(grid * value[wins + 1] + (1.0 - grid) * value[wins])
-        value = nxt
-    return float(value[0])
 
 
 @dataclasses.dataclass(frozen=True)

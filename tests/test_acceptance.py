@@ -18,16 +18,16 @@ import pytest
 from discert.bellops import bell_operator, chsh
 from discert.envelope import build_g_epsilon, lower_convex_hull
 from discert.extract import AnalyticCurve, GridSpec, bardyn_locc, xi_lower_bound
-from discert.sdpcore import FabProblem, weak_duality_witness
+from discert.sdpcore import FabProblem
 from discert.security import ProtocolConfig, completeness, kappa_for_target, soundness, zubkov_C
 from discert.simproto import (
     DeviceModel,
     SourceModel,
     estimate_abort_rate,
     run_protocol,
-    seq_adversary_bruteforce,
     seq_adversary_value,
 )
+from oracles import seq_adversary_bruteforce, weak_duality_witness
 
 RT2 = math.sqrt(2.0)
 ETA_Q = 2.0 * RT2

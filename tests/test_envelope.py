@@ -50,11 +50,6 @@ class TestPiecewiseLinear:
         assert pl(-5.0) == 1.0
         assert pl(9.0) == 3.0
 
-    def test_linear_extension(self):
-        pl = PiecewiseLinear(np.array([0.0, 1.0]), np.array([1.0, 3.0]), extend="linear")
-        assert pl(-1.0) == pytest.approx(-1.0)
-        assert pl(2.0) == pytest.approx(5.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PiecewiseLinear(np.array([0.0]), np.array([1.0]))
@@ -62,8 +57,6 @@ class TestPiecewiseLinear:
             PiecewiseLinear(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             PiecewiseLinear(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            PiecewiseLinear(np.array([0.0, 1.0]), np.array([1.0, 2.0]), extend="wrap")
 
     def test_knots_read_only(self):
         pl = PiecewiseLinear(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
@@ -238,8 +231,6 @@ class TestBuildGEpsilon:
         ok = PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.1, 0.9]))
         with pytest.raises(ValueError):
             build_g_epsilon(ok, -0.2)
-        with pytest.raises(ValueError):
-            build_g_epsilon(ok, 0.1, domain=(1.0, 0.0))
 
 
 class TestSerialization:

@@ -12,11 +12,12 @@ from discert.extract import (
     GridSpec,
     analytic,
     bardyn_locc,
-    feasible_cells,
     kaniewski_lo,
     xi_lower_bound,
 )
-from discert.sdpcore import FabProblem, solve_fab, weak_duality_witness
+from discert.envelope import build_g_epsilon
+from discert.sdpcore import FabProblem, solve_fab
+from oracles import feasible_cells, weak_duality_witness
 
 RT2 = math.sqrt(2.0)
 S2 = 2.0 * RT2
@@ -150,12 +151,6 @@ class TestSweep:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.raw_values, b.raw_values)
 
-    def test_floor_early_exit_same_envelope(self):
-        spec = GridSpec(delta=0.25, omega_knots=(2.0, 2.2, 2.4, 2.6, S2))
-        full = xi_lower_bound(chsh(), spec, workers=1)
-        fast = xi_lower_bound(chsh(), spec, workers=1, floor_early_exit=True)
-        assert np.array_equal(full.values, fast.values)
-
 
 class TestCurveObject:
     def test_json_round_trip(self, curve_01):
@@ -191,7 +186,7 @@ class TestCurveObject:
         assert m["floor"] == 0.5
 
     def test_g_epsilon_hook(self, curve_01):
-        g = curve_01.g_epsilon(0.1)
+        g = build_g_epsilon(curve_01, 0.1)
         assert g.epsilon == 0.1
         assert g(S2) <= math.sqrt(0.5)
 

@@ -21,11 +21,8 @@ from discert.sdpcore import (
     phi_plus,
     solve_fab,
     solve_fab_batch,
-    supergrad_oracle,
-    tightness_probe,
-    weak_duality_witness,
 )
-from oracles import cone_newton_system_by_inverse
+from oracles import cone_newton_system_by_inverse, supergrad_oracle, tightness_probe, weak_duality_witness
 
 RT2 = math.sqrt(2.0)
 B_OPT = bell_operator(chsh(), AnglePair(math.pi / 4, math.pi / 4))

@@ -14,10 +14,10 @@ from discert.simproto import (
     estimate_abort_rate,
     load_scenario,
     run_protocol,
-    seq_adversary_bruteforce,
     seq_adversary_value,
     transcript_csv,
 )
+from oracles import seq_adversary_bruteforce
 
 RT2 = math.sqrt(2.0)
 S2 = 2.0 * RT2
