@@ -9,11 +9,11 @@ protocols, and simulates the protocols end to end.
 __version__ = "0.1.0"
 
 from .bellops import AnglePair, BellFunctional, bell_operator, chsh, load_functional
-from .envelope import PenaltyCurve, PiecewiseLinear, build_g_epsilon
+from .envelope import PiecewiseLinear, build_g_epsilon
 from .extract import (
-    AnalyticCurve,
     ExtractabilityCurve,
     GridSpec,
+    analytic_curve,
     bardyn_locc,
     kaniewski_lo,
     xi_lower_bound,
@@ -38,7 +38,6 @@ from .simproto import (
 )
 
 __all__ = [
-    "AnalyticCurve",
     "AnglePair",
     "BellFunctional",
     "DeviceModel",
@@ -46,13 +45,13 @@ __all__ = [
     "FabProblem",
     "FabSolution",
     "GridSpec",
-    "PenaltyCurve",
     "PiecewiseLinear",
     "ProtocolConfig",
     "Scenario",
     "SecurityReport",
     "SourceModel",
     "TrialRecord",
+    "analytic_curve",
     "bardyn_locc",
     "bell_operator",
     "build_g_epsilon",

@@ -147,11 +147,17 @@ def max_quantum_value(func: BellFunctional, pair: AnglePair) -> float:
     return float(eig_sym(bell_operator(func, pair)).values[-1])
 
 
-def score_to_value(p: float) -> float:
-    """Convert a game score (win probability) to a Bell value, omega = 8p - 4."""
-    if not -1e-12 <= p <= 1.0 + 1e-12:
+def score_to_value(p):
+    """Convert game scores (win probabilities) to Bell values, omega = 8p - 4.
+
+    Takes a scalar (returns a float) or an array; any score outside
+    [0, 1] raises ValueError.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
         raise ValueError(f"score must lie in [0, 1], got {p}")
-    return 8.0 * p - 4.0
+    out = 8.0 * p - 4.0
+    return float(out) if out.ndim == 0 else out
 
 
 def value_to_score(omega: float) -> float:

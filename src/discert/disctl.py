@@ -33,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from .bellops import chsh, load_functional
-from .envelope import build_g_epsilon
-from .extract import AnalyticCurve, ExtractabilityCurve, GridSpec, analytic, xi_lower_bound
+from .envelope import PiecewiseLinear, build_g_epsilon
+from .extract import ExtractabilityCurve, GridSpec, analytic_curve, bardyn_locc, kaniewski_lo, xi_lower_bound
 from .security import ProtocolConfig, kappa_for_target, soundness
 from .simproto import (
     DeviceModel,
@@ -69,20 +69,17 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _sha256_file(path: str) -> str:
+def _read_text(path: str) -> tuple[str, str]:
+    """UTF-8 text of a file and the sha256 of its bytes, from one read."""
     try:
         with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+            data = fh.read()
     except OSError as err:
         raise CliError(EXIT_USAGE, f"cannot read input file {path!r}: {err}") from err
-
-
-def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as err:
-        raise CliError(EXIT_USAGE, f"cannot read input file {path!r}: {err}") from err
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    except UnicodeDecodeError as err:
+        raise CliError(EXIT_USAGE, f"input file {path!r} is not UTF-8 text: {err}") from err
 
 
 class Run:
@@ -98,8 +95,10 @@ class Run:
         self.resolved: dict = {}
         self._t0 = time.monotonic()
 
-    def add_input(self, path: str) -> None:
-        self.inputs[path] = _sha256_file(path)
+    def add_input(self, path: str) -> str:
+        """Record the file's digest and return the text that was hashed."""
+        text, self.inputs[path] = _read_text(path)
+        return text
 
     def stage(self, name: str, **detail) -> None:
         self.stages.append({"stage": name, **detail})
@@ -180,8 +179,7 @@ def _load_bell(spec: str, run: Run):
 
 
 def _load_curve(path: str, functional, run: Run) -> ExtractabilityCurve:
-    run.add_input(path)
-    text = _read_text(path)
+    text = run.add_input(path)
     try:
         passed = None if functional.name == "chsh" else functional
         return ExtractabilityCurve.from_json(text, functional=passed)
@@ -248,7 +246,7 @@ def cmd_extract(args, argv) -> int:
     f = _load_bell(args.bell, run)
 
     delta = args.delta
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise CliError(EXIT_USAGE, "--delta must be positive")
     if delta > math.pi / 4:
         _warn(f"delta {delta:g} exceeds pi/4; clamped to {math.pi / 4:.6g}")
@@ -333,9 +331,9 @@ def cmd_security(args, argv) -> int:
 
 def _scenario_from_args(args, run: Run):
     if args.scenario is not None:
-        run.add_input(args.scenario)
+        text = run.add_input(args.scenario)
         try:
-            sc = load_scenario(_read_text(args.scenario))
+            sc = load_scenario(text)
         except (ValueError, KeyError, json.JSONDecodeError) as err:
             raise CliError(EXIT_USAGE, f"bad scenario file {args.scenario!r}: {err}") from err
         seed = sc.seed if args.seed is None else args.seed
@@ -349,7 +347,10 @@ def _scenario_from_args(args, run: Run):
     protocol = _protocol_name(args.protocol)
     kappa = _solve_kappa(args, protocol, f, run)
     cfg = _build_config(args, protocol, None, f, kappa)
-    src = SourceModel.honest_isotropic(args.mu)
+    try:
+        src = SourceModel.honest_isotropic(args.mu)
+    except ValueError as err:
+        raise CliError(EXIT_USAGE, f"bad --mu: {err}") from err
     dev = DeviceModel.optimal_chsh()
     seed = 2026 if args.seed is None else args.seed
     trials = 1000 if args.trials is None else args.trials
@@ -409,15 +410,18 @@ def _figure_base_curve(args, run: Run):
     if args.curve is not None:
         f = _load_bell(args.bell, run)
         return _load_curve(args.curve, f, run), f
-    return AnalyticCurve("bardyn_locc"), chsh()
+    return analytic_curve("bardyn_locc"), chsh()
 
 
 def _fig_g_eps(args, run: Run, mhash_of) -> list[str]:
     base, _ = _figure_base_curve(args, run)
     eps_values = _parse_float_list(args.eps, "--eps")
-    pl = base.to_piecewise_linear()
+    if not all(0.0 <= e < math.inf for e in eps_values):
+        raise CliError(EXIT_USAGE, "--eps values must be finite and nonnegative")
+    # a bare PiecewiseLinear: G_eps sampled over the curve's own knot span
+    pl = PiecewiseLinear(base.omegas, base.values)
     curves = [build_g_epsilon(pl, e) for e in eps_values]
-    xs = np.unique(np.concatenate([c.knot_xs for c in curves]))
+    xs = np.unique(np.concatenate([c.xs for c in curves]))
     header = ["omega"] + [f"g_eps_{e:g}" for e in eps_values]
     cols = [xs] + [np.asarray(c(xs), dtype=float) for c in curves]
     path = os.path.join(args.out_dir, "g_eps.csv")
@@ -431,11 +435,17 @@ def _fig_eps_vs_n(args, run: Run, mhash_of) -> list[str]:
     protocol = _protocol_name(args.protocol)
     if protocol not in ("P2", "P3"):
         raise CliError(EXIT_USAGE, "eps-vs-n figures are defined for protocols 2 and 3")
+    if not 0.0 < args.n_min <= args.n_max < math.inf:
+        raise CliError(EXIT_USAGE, "--n-min and --n-max need 0 < n-min <= n-max")
+    if args.n_points < 1:
+        raise CliError(EXIT_USAGE, "--n-points must be >= 1")
+    if not 0.0 <= args.epsilon < math.inf:
+        raise CliError(EXIT_USAGE, "--epsilon must be finite and nonnegative")
+    target = 0.01 if args.target_eps_c is None else args.target_eps_c
     n_values = np.unique(
         np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.n_points).astype(int)
     )
     n_values = n_values[n_values >= 2]
-    target = 0.01 if args.target_eps_c is None else args.target_eps_c
 
     def eps_sound(n: int, omega_sharp: float, epsilon: float) -> float:
         probe = ProtocolConfig(
@@ -448,28 +458,26 @@ def _fig_eps_vs_n(args, run: Run, mhash_of) -> list[str]:
             epsilon=epsilon,
             bound_mode=args.bound_mode,
         )
-        kap = kappa_for_target(probe, target)
+        try:
+            kap = kappa_for_target(probe, target)
+        except ValueError as err:
+            raise CliError(EXIT_NUMERIC, f"no kappa meets completeness target {target}: {err}") from err
         return soundness(dataclasses.replace(probe, kappa=kap)).eps_sound
 
-    paths = []
-    omegas = (2.7, 2.75, 2.8, 2.0 * _RT2)
-    cols = [n_values.astype(float)]
-    for w in omegas:
-        cols.append(np.array([eps_sound(n, w, args.epsilon) for n in n_values]))
-    header = ["n"] + [f"omega_{w:g}" for w in omegas]
-    path = os.path.join(args.out_dir, "eps_vs_n_fixed_eps.csv")
-    run.write_output(path, _csv_table(header, cols, f"manifest: {mhash_of()}"))
-    paths.append(path)
-
+    w_max = 2.0 * _RT2
+    omegas = (2.7, 2.75, 2.8, w_max)
     eps_values = (0.0, 0.05, 0.1, 0.15)
-    w_fixed = 2.0 * _RT2
-    cols = [n_values.astype(float)]
-    for e in eps_values:
-        cols.append(np.array([eps_sound(n, w_fixed, e) for n in n_values]))
-    header = ["n"] + [f"eps_{e:g}" for e in eps_values]
-    path = os.path.join(args.out_dir, "eps_vs_n_fixed_omega.csv")
-    run.write_output(path, _csv_table(header, cols, f"manifest: {mhash_of()}"))
-    paths.append(path)
+    tables = (
+        ("eps_vs_n_fixed_eps.csv", [f"omega_{w:g}" for w in omegas], [(w, args.epsilon) for w in omegas]),
+        ("eps_vs_n_fixed_omega.csv", [f"eps_{e:g}" for e in eps_values], [(w_max, e) for e in eps_values]),
+    )
+    paths = []
+    for name, labels, points in tables:
+        cols = [n_values.astype(float)]
+        cols += [np.array([eps_sound(n, w, e) for n in n_values]) for w, e in points]
+        path = os.path.join(args.out_dir, name)
+        run.write_output(path, _csv_table(["n"] + labels, cols, f"manifest: {mhash_of()}"))
+        paths.append(path)
     run.stage(
         "eps-vs-n",
         protocol=protocol,
@@ -501,8 +509,8 @@ def _fig_xi_vs_analytic(args, run: Run, mhash_of) -> list[str]:
         if omegas is None:
             omegas = np.asarray(curve.omegas, dtype=float)
         cols.append(np.asarray(curve.evaluate(omegas), dtype=float))
-    bardyn = np.array([analytic("bardyn_locc", w) for w in omegas])
-    kaniewski = np.array([analytic("kaniewski_lo", w) for w in omegas])
+    bardyn = np.array([bardyn_locc(w) for w in omegas])
+    kaniewski = np.array([kaniewski_lo(w) for w in omegas])
     header = ["omega"] + [f"xi_delta_{d:g}" for d in deltas] + ["bardyn", "kaniewski"]
     path = os.path.join(args.out_dir, "xi_vs_analytic.csv")
     run.write_output(
@@ -539,7 +547,7 @@ def cmd_figures(args, argv) -> int:
 
 
 def cmd_rerun(args, argv) -> int:
-    text = _read_text(args.manifest)
+    text, _ = _read_text(args.manifest)
     try:
         manifest = json.loads(text)
         replay = manifest["argv"]

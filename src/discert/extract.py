@@ -19,6 +19,7 @@ on worker timing, so results are identical for any worker count.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -26,15 +27,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .bellops import AnglePair, BellFunctional, bell_operator_stack, chsh, lipschitz_constants
-from .envelope import PiecewiseLinear, knots_from_json, knots_to_csv, knots_to_json, lower_convex_hull
+from .envelope import lower_convex_hull, step_extension
 from .sdpcore import FabSolution, solve_fab_batch
 
 __all__ = [
     "GridSpec",
     "ExtractabilityCurve",
-    "AnalyticCurve",
     "xi_lower_bound",
-    "analytic",
+    "analytic_curve",
     "bardyn_locc",
     "kaniewski_lo",
     "OMEGA_STAR",
@@ -139,8 +139,10 @@ class ExtractabilityCurve:
     def __post_init__(self) -> None:
         om = np.asarray(self.omegas, dtype=float)
         va = np.asarray(self.values, dtype=float)
-        if om.size != va.size or om.size < 2:
+        if om.ndim != 1 or om.shape != va.shape or om.size < 2:
             raise ValueError("need >= 2 knots with matching values")
+        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(va))):
+            raise ValueError("knot scores and values must be finite")
         if not np.all(np.diff(om) > 0.0):
             raise ValueError("knots must be strictly ascending")
         if np.any(va < FLOOR - 1e-12) or np.any(va > 1.0 + 1e-12):
@@ -158,14 +160,12 @@ class ExtractabilityCurve:
         object.__setattr__(self, "values", va)
 
     def evaluate(self, omega):
+        """Interpolated bound; 1/2 (the trivial bound) left of the first knot."""
         out = np.interp(np.asarray(omega, dtype=float), self.omegas, self.values)
         out = np.where(np.asarray(omega) < self.omegas[0], FLOOR, out)
         return float(out) if out.ndim == 0 else out
 
     __call__ = evaluate
-
-    def to_piecewise_linear(self) -> PiecewiseLinear:
-        return PiecewiseLinear(self.omegas, self.values)
 
     def meta(self) -> dict:
         return {
@@ -176,14 +176,34 @@ class ExtractabilityCurve:
         }
 
     def to_json(self) -> str:
-        return knots_to_json(self.functional.name, self.omegas, self.values, self.meta())
+        payload = {
+            "functional": self.functional.name,
+            "knots": [{"omega": float(x), "value": float(y)} for x, y in zip(self.omegas, self.values)],
+            "meta": self.meta(),
+        }
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_csv(self, comment: str | None = None) -> str:
-        return knots_to_csv(self.omegas, self.values, comment)
+        lines = [f"# {comment}"] if comment else []
+        lines.append("omega,value")
+        lines += [f"{float(x)!r},{float(y)!r}" for x, y in zip(self.omegas, self.values)]
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_json(cls, text: str, functional: BellFunctional | None = None) -> "ExtractabilityCurve":
-        name, xs, ys, meta = knots_from_json(text)
+        """Parse ``to_json`` output; malformed documents raise ValueError."""
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("curve document must be a JSON object")
+        knots = payload.get("knots")
+        if not isinstance(knots, list) or not all(isinstance(k, dict) for k in knots):
+            raise ValueError("'knots' must be a list of objects")
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError("'meta' must be an object")
+        xs = np.array([k["omega"] for k in knots], dtype=float)
+        ys = np.array([k["value"] for k in knots], dtype=float)
+        name = payload.get("functional", "")
         if functional is None:
             if name != "chsh":
                 raise ValueError(f"cannot resolve functional {name!r}; pass it explicitly")
@@ -196,19 +216,6 @@ class ExtractabilityCurve:
             mode=str(meta.get("mode", "paper")),
             penalty=float(meta.get("penalty", float("nan"))),
         )
-
-
-def _envelope_knot_values(omegas: np.ndarray, clamped: np.ndarray) -> np.ndarray:
-    """Step-extend each knot value over its interval, then lower hull.
-
-    The knot bound v_i holds for every score in [omega_i, omega_{i+1}]
-    (the underlying curve is non-decreasing), so the hull is taken over
-    both interval endpoints and the result certifies every real score.
-    """
-    ext_x = np.concatenate([omegas, omegas[1:]])
-    ext_y = np.concatenate([clamped, clamped[:-1]])
-    hull = lower_convex_hull(np.column_stack([ext_x, ext_y]))
-    return hull(omegas)
 
 
 def xi_lower_bound(f: BellFunctional, g: GridSpec, workers: int | None = None) -> ExtractabilityCurve:
@@ -293,7 +300,10 @@ def xi_lower_bound(f: BellFunctional, g: GridSpec, workers: int | None = None) -
     omegas = knots[valid]
     raw_v = raw[valid]
     clamped = np.clip(raw_v, FLOOR, 1.0)
-    final = _envelope_knot_values(omegas, clamped)
+    # the knot bound v_i holds on all of [omega_i, omega_{i+1}] (the true
+    # curve is non-decreasing), so the hull of the step extension
+    # certifies every real score
+    final = lower_convex_hull(step_extension(omegas, clamped))(omegas)
     cells = tuple(
         AnglePair(vals[a_idx[c]], vals[b_idx[c]]) for c in arg_cell[valid]
     )
@@ -335,32 +345,18 @@ def kaniewski_lo(omega: float) -> float:
     return max(0.5 * (1.0 + (omega - OMEGA_STAR) / (_S2 - OMEGA_STAR)), 0.5)
 
 
-def analytic(kind: str, omega: float) -> float:
+def analytic_curve(kind: str) -> ExtractabilityCurve:
+    """The closed-form CHSH references as exact knot curves.
+
+    'bardyn_locc' is the line from (2, 1/2) to (2 sqrt 2, 1);
+    'kaniewski_lo' stays at 1/2 up to OMEGA_STAR and then rises to 1.
+    """
     if kind == "bardyn_locc":
-        return bardyn_locc(omega)
-    if kind == "kaniewski_lo":
-        return kaniewski_lo(omega)
-    raise ValueError("kind must be 'bardyn_locc' or 'kaniewski_lo'")
-
-
-@dataclasses.dataclass(frozen=True)
-class AnalyticCurve:
-    """Closed-form reference curve, exact as a piecewise-linear object."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("bardyn_locc", "kaniewski_lo"):
-            raise ValueError("kind must be 'bardyn_locc' or 'kaniewski_lo'")
-
-    def __call__(self, omega: float) -> float:
-        return analytic(self.kind, omega)
-
-    @property
-    def functional(self) -> BellFunctional:
-        return chsh()
-
-    def to_piecewise_linear(self) -> PiecewiseLinear:
-        if self.kind == "bardyn_locc":
-            return PiecewiseLinear(np.array([2.0, _S2]), np.array([0.5, 1.0]))
-        return PiecewiseLinear(np.array([2.0, OMEGA_STAR, _S2]), np.array([0.5, 0.5, 1.0]))
+        omegas, values = [2.0, _S2], [0.5, 1.0]
+    elif kind == "kaniewski_lo":
+        omegas, values = [2.0, OMEGA_STAR, _S2], [0.5, 0.5, 1.0]
+    else:
+        raise ValueError("kind must be 'bardyn_locc' or 'kaniewski_lo'")
+    return ExtractabilityCurve(
+        functional=chsh(), omegas=omegas, values=values, delta=0.0, mode="analytic", penalty=0.0
+    )

@@ -20,10 +20,7 @@ __all__ = [
     "EigSys",
     "pauli",
     "kron",
-    "partial_trace",
     "eig_sym",
-    "eigvals_sym",
-    "fidelity",
 ]
 
 
@@ -155,46 +152,3 @@ def eig_sym(mat: np.ndarray) -> EigSys:
     """
     vals, vecs = np.linalg.eigh(_as_real_symmetric(mat))
     return EigSys(values=vals, vectors=vecs)
-
-
-def eigvals_sym(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric matrix of dimension up to 4."""
-    return np.linalg.eigvalsh(_as_real_symmetric(mat))
-
-
-def partial_trace(mat: np.ndarray, side: str) -> np.ndarray:
-    """Trace out one qubit of a 4x4 two-qubit operator.
-
-    side='A' removes the first tensor factor (returns the B marginal);
-    side='B' removes the second (returns the A marginal).
-    """
-    m = _as_square(mat)
-    if m.shape[0] != 4:
-        raise ValueError("partial_trace expects a 4x4 matrix")
-    r = m.reshape(2, 2, 2, 2)  # indices a, b, a', b'
-    if side.upper() == "A":
-        return np.einsum("abac->bc", r)
-    if side.upper() == "B":
-        return np.einsum("abcb->ac", r)
-    raise ValueError("side must be 'A' or 'B'")
-
-
-def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
-    """Fidelity tr[rho @ target] of a state with a pure target state.
-
-    Only pure targets are supported: the second argument must satisfy
-    tr[T] = 1 and tr[T^2] = 1 within tolerance, otherwise a ValueError is
-    raised (mixed-target fidelity is out of scope).
-    """
-    r = _as_square(rho)
-    t = _as_square(target)
-    if r.shape != t.shape:
-        raise ValueError("state and target must have the same dimension")
-    tr_t = complex(np.trace(t))
-    purity = complex(np.trace(t @ t))
-    if abs(tr_t - 1.0) > 1e-8 or abs(purity - 1.0) > 1e-8:
-        raise ValueError("fidelity target must be a pure state (rank one)")
-    val = complex(np.trace(r @ t))
-    if abs(val.imag) > 1e-9:
-        raise ValueError(f"fidelity came out non-real ({val!r}); inputs are not Hermitian")
-    return float(val.real)

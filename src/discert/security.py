@@ -24,6 +24,7 @@ import numpy as np
 
 from . import envelope
 from .bellops import BellFunctional, chsh, score_to_value
+from .extract import ExtractabilityCurve
 
 __all__ = [
     "ProtocolConfig",
@@ -89,16 +90,19 @@ def hoeffding_tail(n: int, r: float, range_width: float) -> float:
 class ProtocolConfig:
     """Parameters of one protocol run; validated on construction.
 
-    ``curve`` supplies the certified extractability bound: a swept or
-    analytic curve, read through its ``to_piecewise_linear`` and
-    ``functional``.  Simulation-only configs may omit it; soundness
-    requires it.
+    ``curve`` is the certified extractability curve Xi, swept or analytic
+    (``extract.analytic_curve``).  P1 evaluates it directly; P2..P5 go
+    through its penalty curve G_eps (``envelope.build_g_epsilon``).
+    Simulation-only configs may omit it; soundness requires it.  The abort
+    rules live here too: the parallel protocols abort at an observed Bell
+    value at or below ``parallel_cut``, the sequential ones above
+    ``loss_threshold`` losses.
     """
 
     protocol: str
     n: int
     kappa: float
-    curve: object | None = None
+    curve: ExtractabilityCurve | None = None
     functional: BellFunctional = dataclasses.field(default_factory=chsh)
     omega_sharp: float | None = None
     p_win_sharp: float | None = None
@@ -112,7 +116,7 @@ class ProtocolConfig:
             raise ValueError("n must be an integer >= 2")
         if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be >= 0")
         if self.protocol == "P1" and self.epsilon != 0.0:
             raise ValueError("P1 fixes epsilon = 0")
@@ -139,8 +143,22 @@ class ProtocolConfig:
     @property
     def concentration_denom(self) -> float:
         """Exponent denominator of the parallel concentration bound."""
-        g = self.functional.gamma_star
-        return g if self.bound_mode == "paper" else 2.0 * g**2
+        return _concentration_denom(self.functional, self.bound_mode)
+
+    @property
+    def parallel_cut(self) -> float:
+        """P1..P3 abort when the observed Bell value is at most this."""
+        return self.omega_sharp - self.kappa
+
+    @property
+    def loss_threshold(self) -> int:
+        """P4/P5 abort when the losses among the n-1 tested rounds exceed this."""
+        return math.floor((self.n - 1) * (1.0 - self.p_win_sharp + self.kappa))
+
+
+def _concentration_denom(functional: BellFunctional, bound_mode: str) -> float:
+    g = functional.gamma_star
+    return g if bound_mode == "paper" else 2.0 * g**2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,54 +186,36 @@ class SecurityReport:
         return json.dumps(body, indent=2, sort_keys=True)
 
 
-def _fidelity_interp(curve):
-    """Vectorized fidelity-bound evaluator, trivially 1/2 left of the knots."""
-    pl = curve.to_piecewise_linear()
+def _parallel_a(n: int, denom: float):
+    def a(d):
+        return np.exp(-(n - 1) * np.square(d) / denom)
 
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < pl.xs[0], 0.5, np.interp(x, pl.xs, pl.ys))
-
-    return ev
-
-
-def _g_interp(curve, epsilon: float):
-    """Vectorized evaluator for the concave penalty curve of ``curve``."""
-    # looked up on the module at call time, so wrappers patched onto
-    # ``envelope.build_g_epsilon`` (perfbench/tracing.py) see these calls
-    g = envelope.build_g_epsilon(curve, epsilon)
-    xs, ys = g.knot_xs, g.knot_ys
-
-    def ev(x):
-        return np.interp(x, xs, ys)
-
-    return ev
+    return a
 
 
 def _terms(cfg: ProtocolConfig):
     """Build vectorized a(delta), b(delta) and the search bracket."""
     n = cfg.n
     f = cfg.functional
+    if cfg.protocol != "P1":
+        # looked up on the module at call time, so wrappers patched onto
+        # ``envelope.build_g_epsilon`` (perfbench/tracing.py) see this call
+        g = envelope.build_g_epsilon(cfg.curve, cfg.epsilon)
     if cfg.is_parallel:
-        denom = cfg.concentration_denom
-
-        def a(d):
-            return np.exp(-(n - 1) * np.square(d) / denom)
+        a = _parallel_a(n, cfg.concentration_denom)
 
         def arg(d):
-            return ((n - 1) / n) * (cfg.omega_sharp - cfg.kappa - d) + f.eta_q_min / n
+            return ((n - 1) / n) * (cfg.parallel_cut - d) + f.eta_q_min / n
 
         if cfg.protocol == "P1":
-            fid = _fidelity_interp(cfg.curve)
 
             def b(d):
-                return np.sqrt(np.maximum(1.0 - fid(arg(d)), 0.0))
+                return np.sqrt(np.maximum(1.0 - cfg.curve.evaluate(arg(d)), 0.0))
 
         else:
-            gev = _g_interp(cfg.curve, cfg.epsilon)
 
             def b(d):
-                return gev(arg(d))
+                return g(arg(d))
 
         hi = cfg.omega_sharp - f.eta_q_min
     else:
@@ -223,15 +223,12 @@ def _terms(cfg: ProtocolConfig):
         def a(d):
             return np.exp(-np.square(np.floor((n - 1) * np.asarray(d, dtype=float))) / (n - 1))
 
-        gev = _g_interp(cfg.curve, cfg.epsilon)
-        s2v = np.vectorize(score_to_value, otypes=[float])
-
         def b(d):
             count = np.floor((n - 1) * (cfg.p_win_sharp - cfg.kappa - np.asarray(d, dtype=float)))
             # negative certified win counts carry no information; the
             # clipped score maps below the quantum range and G saturates
             score = np.clip(count / n, 0.0, 1.0)
-            return gev(s2v(score))
+            return g(score_to_value(score))
 
         hi = cfg.p_win_sharp
     return a, b, float(hi)
@@ -263,7 +260,8 @@ def soundness(cfg: ProtocolConfig) -> SecurityReport:
                 x1 = mid
         cands += [x0, x1]
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    obj_grid = np.maximum(a(grid), b(grid))
+    b_grid = b(grid)
+    obj_grid = np.maximum(a(grid), b_grid)
     cands.append(float(grid[int(np.argmin(obj_grid))]))
 
     cand_arr = np.asarray(cands)
@@ -281,12 +279,10 @@ def soundness(cfg: ProtocolConfig) -> SecurityReport:
         "notes": [],
     }
     if cfg.is_parallel:
-        other = dataclasses.replace(
-            cfg, bound_mode="rigorous" if cfg.bound_mode == "paper" else "paper"
-        )
-        ao, bo, hio = _terms(other)
-        go = np.linspace(_DELTA_LO, hio, _SCAN_POINTS)
-        meta["eps_sound_other_mode"] = float(np.min(np.maximum(ao(go), bo(go))))
+        # the curve term and the bracket do not depend on the bound mode
+        other = "rigorous" if cfg.bound_mode == "paper" else "paper"
+        a_other = _parallel_a(cfg.n, _concentration_denom(cfg.functional, other))
+        meta["eps_sound_other_mode"] = float(np.min(np.maximum(a_other(grid), b_grid)))
         meta["notes"].append(
             "concentration exponent normalization differs between modes; both headline values reported"
         )
@@ -312,8 +308,7 @@ def completeness(cfg: ProtocolConfig) -> float:
     if cfg.is_parallel:
         val = 2.0 * math.exp(-(n - 1) * cfg.kappa**2 / cfg.concentration_denom)
     else:
-        thr = math.floor((n - 1) * (1.0 - cfg.p_win_sharp + cfg.kappa))
-        val = 1.0 - zubkov_C(n - 1, 1.0 - cfg.p_win_sharp, thr)
+        val = 1.0 - zubkov_C(n - 1, 1.0 - cfg.p_win_sharp, cfg.loss_threshold)
     return min(max(val, 0.0), 1.0)
 
 

@@ -309,11 +309,11 @@ def run_protocol(cfg: ProtocolConfig, src: SourceModel, dev: DeviceModel, seed: 
         gt = np.array([[f.coeff_rescaled(xv, yv) for yv in range(2)] for xv in range(2)])
         weights = gt[xs, ys] * (2 * w_bits - 1)
         omega_exp = 4.0 / n * float(weights[measured].sum())
-        aborted = omega_exp <= cfg.omega_sharp - cfg.kappa
+        aborted = omega_exp <= cfg.parallel_cut
     else:
         nwins = int(w_bits[measured].sum())
         failures = (n - 1) - nwins
-        aborted = failures > math.floor((n - 1) * (1.0 - cfg.p_win_sharp + cfg.kappa))
+        aborted = failures > cfg.loss_threshold
         omega_exp = score_to_value(nwins / n)
 
     return TrialRecord(
@@ -364,10 +364,9 @@ def estimate_abort_rate(cfg: ProtocolConfig, src: SourceModel, dev: DeviceModel,
         wins = g.binomial(n - 1, p, size=trials)
         if cfg.is_parallel:
             omega_exp = 4.0 / n * (2.0 * wins - (n - 1))
-            aborts = int(np.sum(omega_exp <= cfg.omega_sharp - cfg.kappa))
+            aborts = int(np.sum(omega_exp <= cfg.parallel_cut))
         else:
-            thr = math.floor((n - 1) * (1.0 - cfg.p_win_sharp + cfg.kappa))
-            aborts = int(np.sum((n - 1) - wins > thr))
+            aborts = int(np.sum((n - 1) - wins > cfg.loss_threshold))
     else:
         aborts = sum(
             run_protocol(cfg, src, dev, seed, trial=k).aborted for k in range(trials)

@@ -4,6 +4,8 @@ Each reaches its answer by a different route from the package code it
 checks:
 
 - ``jacobi_eig``: cyclic Jacobi eigensolver in plain Python;
+- ``partial_trace``/``fidelity``: one-qubit partial trace and the
+  fidelity with a pure target, by index contraction and plain traces;
 - ``cone_newton_system_by_inverse``: the barrier Newton system from
   explicit inverses and einsum contractions;
 - ``supergrad_oracle``: first-order projected-supergradient solver of
@@ -74,6 +76,42 @@ def jacobi_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals = np.diag(diag).copy()
     order = np.argsort(vals, kind="stable")
     return vals[order], v[:, order]
+
+
+def partial_trace(mat: np.ndarray, side: str) -> np.ndarray:
+    """Trace out one qubit of a 4x4 two-qubit operator.
+
+    side='A' removes the first tensor factor (returns the B marginal);
+    side='B' removes the second (returns the A marginal).
+    """
+    m = np.asarray(mat)
+    if m.shape != (4, 4):
+        raise ValueError("partial_trace expects a 4x4 matrix")
+    r = m.reshape(2, 2, 2, 2)  # indices a, b, a', b'
+    if side.upper() == "A":
+        return np.einsum("abac->bc", r)
+    if side.upper() == "B":
+        return np.einsum("abcb->ac", r)
+    raise ValueError("side must be 'A' or 'B'")
+
+
+def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
+    """Fidelity tr[rho @ target] of a state with a pure target state.
+
+    The target must satisfy tr[T] = 1 and tr[T^2] = 1 within 1e-8;
+    anything else raises ValueError.
+    """
+    r, t = np.asarray(rho), np.asarray(target)
+    if r.ndim != 2 or r.shape != t.shape or r.shape[0] != r.shape[1]:
+        raise ValueError("state and target must be square matrices of one dimension")
+    tr_t = complex(np.trace(t))
+    purity = complex(np.trace(t @ t))
+    if abs(tr_t - 1.0) > 1e-8 or abs(purity - 1.0) > 1e-8:
+        raise ValueError("fidelity target must be a pure state (rank one)")
+    val = complex(np.trace(r @ t))
+    if abs(val.imag) > 1e-9:
+        raise ValueError(f"fidelity came out non-real ({val!r}); inputs are not Hermitian")
+    return float(val.real)
 
 
 def cone_newton_system_by_inverse(

@@ -17,7 +17,7 @@ import pytest
 
 from discert.bellops import bell_operator, chsh
 from discert.envelope import build_g_epsilon, lower_convex_hull
-from discert.extract import AnalyticCurve, GridSpec, bardyn_locc, xi_lower_bound
+from discert.extract import GridSpec, analytic_curve, bardyn_locc, xi_lower_bound
 from discert.sdpcore import FabProblem
 from discert.security import ProtocolConfig, completeness, kappa_for_target, soundness, zubkov_C
 from discert.simproto import (
@@ -202,14 +202,14 @@ def test_ac7_soundness_trends(fine):
 
 def test_ac8_g_epsilon_suite(fine):
     curve, _ = fine
-    ana = AnalyticCurve("bardyn_locc")
+    ana = analytic_curve("bardyn_locc")
     ok = True
     parts = []
     for name, src in (("numeric", curve), ("analytic", ana)):
-        xi_at = src.evaluate if name == "numeric" else (lambda x: src(min(x, ETA_Q)))
+        xi_at = src.evaluate if name == "numeric" else (lambda x: bardyn_locc(min(x, ETA_Q)))
         for eps in EPS_SET:
             g = build_g_epsilon(src, eps)
-            xs, ys = g.knot_xs, g.knot_ys
+            xs, ys = g.xs, g.ys
             mono = bool(np.all(np.diff(ys) <= 1e-12))
             slopes = np.diff(ys) / np.diff(xs)
             conc = bool(np.all(np.diff(slopes) <= 1e-9))

@@ -19,7 +19,7 @@ from discert.bellops import (
     score_to_value,
     value_to_score,
 )
-from discert.matqm import eigvals_sym, pauli
+from discert.matqm import eig_sym, pauli
 
 RT2 = math.sqrt(2.0)
 
@@ -48,9 +48,9 @@ def test_bell_operator_fixtures():
     f = chsh()
     b00 = bell_operator(f, AnglePair(0.0, 0.0))
     assert np.allclose(b00, 2.0 * np.kron(pauli("Z"), pauli("Z")), atol=1e-15)
-    assert abs(eigvals_sym(b00)[-1] - 2.0) < 1e-12
+    assert abs(eig_sym(b00).values[-1] - 2.0) < 1e-12
     b_opt = bell_operator(f, AnglePair(math.pi / 4, math.pi / 4))
-    assert abs(eigvals_sym(b_opt)[-1] - 2.0 * RT2) < 1e-10
+    assert abs(eig_sym(b_opt).values[-1] - 2.0 * RT2) < 1e-10
 
 
 def test_bell_operator_stack_matches_kron_sum():
@@ -133,6 +133,16 @@ def test_score_value_fixtures():
     assert value_to_score(0.0) == 0.5
     with pytest.raises(ValueError):
         score_to_value(1.5)
+
+
+def test_score_to_value_arrays():
+    ps = np.array([0.0, 0.25, 0.75, 1.0])
+    out = score_to_value(ps)
+    assert np.array_equal(out, [score_to_value(float(p)) for p in ps])
+    assert type(score_to_value(np.float64(0.5))) is float
+    for bad in ([0.5, 1.5], [np.nan], [-0.1, 0.2]):
+        with pytest.raises(ValueError):
+            score_to_value(np.array(bad))
 
 
 @settings(max_examples=200, deadline=None)

@@ -114,6 +114,23 @@ class TestExtract:
         assert all(k["value"] == 0.5 for k in doc["knots"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--delta", "nan"],
+        ["simulate", "--protocol", "2", "--n", "100", "--omega-sharp", "2.7", "--kappa", "0.1", "--mu", "1.5"],
+        ["figures", "--which", "g-eps", "--eps", "-0.1"],
+        ["figures", "--which", "eps-vs-n", "--n-min", "0"],
+        ["figures", "--which", "eps-vs-n", "--epsilon", "-0.1", "--n-points", "2"],
+    ],
+)
+def test_bad_values_exit_2(workdir, capsys, argv):
+    flag = "--out-dir" if argv[0] == "figures" else "--out"
+    assert main(argv + [flag, str(workdir / "bad_value")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestSecurity:
     def test_explicit_kappa(self, workdir, curve_paths):
         out = workdir / "rep1"
@@ -202,6 +219,25 @@ class TestSecurity:
         assert main(both) == 2
         bad_cfg = ["security", "--curve", str(curve_paths["json"]), "--protocol", "2", "--n", "1000", "--p-sharp", "0.8", "--out", str(workdir / "x")]
         assert main(bad_cfg) == 2
+        nan_eps = ["security", "--curve", str(curve_paths["json"]), "--epsilon", "nan"] + common
+        assert main(nan_eps + ["--out", str(workdir / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[1, 2]",
+            '{"functional": "chsh", "knots": 5}',
+            '{"functional": "chsh", "knots": [1, 2]}',
+            '{"functional": "chsh", "knots": [{"omega": 2.0, "value": 0.5}, {"omega": 2.8, "value": null}]}',
+            '{"functional": "chsh", "knots": [{"omega": 2.0, "value": 0.5}, {"omega": 2.8, "value": 1.0}], "meta": 3}',
+        ],
+    )
+    def test_malformed_curve_file(self, workdir, capsys, doc):
+        path = workdir / "malformed_curve.json"
+        path.write_text(doc)
+        args = ["security", "--curve", str(path), "--protocol", "2", "--n", "1000", "--omega-sharp", "2.8"]
+        assert main(args + ["--out", str(workdir / "x")]) == 2
+        assert "bad curve file" in capsys.readouterr().err
 
     def test_unreachable_target_is_numeric_error(self, workdir, curve_paths):
         args = (

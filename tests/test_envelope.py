@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discert import envelope
+from discert.bellops import chsh
 from discert.envelope import (
-    PenaltyCurve,
     PiecewiseLinear,
     build_g_epsilon,
-    knots_from_json,
-    knots_to_csv,
-    knots_to_json,
     lower_convex_hull,
     upper_concave_hull,
 )
-from discert.extract import AnalyticCurve
+from discert.extract import ExtractabilityCurve, analytic_curve
 
 RT2 = math.sqrt(2.0)
 
@@ -138,36 +136,26 @@ class TestHulls:
 
 
 class TestPenaltyCurve:
-    def test_validation(self):
-        base = PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.8, 0.2]))
-        with pytest.raises(ValueError):
-            PenaltyCurve(base=base, epsilon=-0.1)
-        with pytest.raises(ValueError):
-            PenaltyCurve(
-                base=PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.2, 0.8])),
-                epsilon=0.0,
-            )
-        with pytest.raises(ValueError):
-            PenaltyCurve(
-                base=PiecewiseLinear(np.array([0.0, 1.0]), np.array([1.5, 0.2])),
-                epsilon=0.0,
-            )
-        with pytest.raises(ValueError):
-            # convex dip is rejected
-            PenaltyCurve(
-                base=PiecewiseLinear(
-                    np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.2, 0.0])
-                ),
-                epsilon=0.0,
-            )
+    """G_eps is a plain PiecewiseLinear; build_g_epsilon checks its own output."""
+
+    def test_validation(self, monkeypatch):
+        bad_hulls = [
+            ([0.0, 1.0], [0.2, 0.8]),  # increasing
+            ([0.0, 1.0], [1.5, 0.2]),  # above 1
+            ([0.0, 1.0], [0.2, -0.1]),  # below 0
+            ([0.0, 1.0, 2.0], [1.0, 0.2, 0.0]),  # convex dip
+        ]
+        for xs, ys in bad_hulls:
+            hull = PiecewiseLinear(np.array(xs), np.array(ys))
+            monkeypatch.setattr(envelope, "upper_concave_hull", lambda pts, hull=hull: hull)
+            with pytest.raises(ValueError):
+                build_g_epsilon(analytic_curve("bardyn_locc"), 0.1)
 
     def test_clamped_evaluation(self):
-        g = PenaltyCurve(
-            base=PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.8, 0.2])),
-            epsilon=0.0,
-        )
-        assert g(-3.0) == 0.8
-        assert g(7.0) == pytest.approx(0.2)
+        g = build_g_epsilon(analytic_curve("kaniewski_lo"), 0.05)
+        lo, hi = g.span
+        assert g(lo - 3.0) == g.ys[0] == g(lo)
+        assert g(hi + 7.0) == g.ys[-1] == g(hi)
 
 
 class TestBuildGEpsilon:
@@ -180,7 +168,7 @@ class TestBuildGEpsilon:
         assert np.allclose(g1(grid), math.sqrt(0.5) - 0.1, atol=1e-12)
 
     def test_analytic_curve_right_endpoint(self):
-        curve = AnalyticCurve("bardyn_locc")
+        curve = analytic_curve("bardyn_locc")
         g = build_g_epsilon(curve, 0.1)
         # exact zero at the quantum maximum: the crossing of 1 - eps^2 is
         # inserted as a knot, and everything at or past it is pinned
@@ -197,8 +185,7 @@ class TestBuildGEpsilon:
         assert 0.0 <= g0(2.0 * RT2) <= math.sqrt(0.5)
 
     def test_domination_and_epsilon_order(self):
-        curve = AnalyticCurve("bardyn_locc")
-        xi = curve.to_piecewise_linear()
+        xi = curve = analytic_curve("bardyn_locc")
         grid = np.linspace(2.0, 2.0 * RT2, 301)
         prev = None
         for eps in (0.0, 0.05, 0.1, 0.15):
@@ -210,7 +197,7 @@ class TestBuildGEpsilon:
             prev = g
 
     def test_midpoint_concavity(self):
-        g = build_g_epsilon(AnalyticCurve("bardyn_locc"), 0.05)
+        g = build_g_epsilon(analytic_curve("bardyn_locc"), 0.05)
         rng = np.random.default_rng(11)
         a = rng.uniform(-2.0 * RT2, 2.0 * RT2, 500)
         b = rng.uniform(-2.0 * RT2, 2.0 * RT2, 500)
@@ -234,36 +221,35 @@ class TestBuildGEpsilon:
 
 
 class TestSerialization:
+    """The curve file format, owned by ExtractabilityCurve."""
+
+    @staticmethod
+    def _curve(xs, ys, **meta):
+        fields = dict(delta=0.05, mode="paper", penalty=0.4) | meta
+        return ExtractabilityCurve(functional=chsh(), omegas=np.array(xs), values=np.array(ys), **fields)
+
     def test_json_round_trip(self):
         xs = np.array([2.0, 2.3, 2.0 * RT2])
         ys = np.array([0.5, 0.61, 1.0])
-        text = knots_to_json("chsh", xs, ys, {"delta": 0.05})
-        name, rx, ry, meta = knots_from_json(text)
-        assert name == "chsh"
-        assert np.array_equal(rx, xs)
-        assert np.array_equal(ry, ys)
-        assert meta["delta"] == 0.05
+        text = self._curve(xs, ys).to_json()
+        back = ExtractabilityCurve.from_json(text)
+        assert json.loads(text)["functional"] == "chsh"
+        assert np.array_equal(back.omegas, xs)
+        assert np.array_equal(back.values, ys)
+        assert back.delta == 0.05
 
     def test_json_tolerates_extra_keys(self):
-        payload = json.loads(knots_to_json("x", [0.0, 1.0], [0.5, 0.6]))
+        payload = json.loads(self._curve([2.0, 2.5], [0.5, 0.6]).to_json())
         payload["manifest"] = "abc123"
-        name, rx, ry, meta = knots_from_json(json.dumps(payload))
-        assert name == "x"
-        assert rx.size == 2
+        back = ExtractabilityCurve.from_json(json.dumps(payload))
+        assert back.functional.name == "chsh"
+        assert back.omegas.size == 2
 
     def test_csv_format(self):
-        text = knots_to_csv([1.0, 2.0], [0.5, 0.75], comment="hello")
+        text = self._curve([2.0, 2.5], [0.5, 0.75]).to_csv(comment="hello")
         lines = text.splitlines()
         assert lines[0] == "# hello"
         assert lines[1] == "omega,value"
-        assert lines[2] == "1.0,0.5"
+        assert lines[2] == "2.0,0.5"
         data = np.loadtxt(text.splitlines()[2:], delimiter=",")
         assert data.shape == (2, 2)
-
-    def test_penalty_curve_serialization(self):
-        g = build_g_epsilon(AnalyticCurve("bardyn_locc"), 0.1)
-        name, rx, ry, meta = knots_from_json(g.to_json(name="chsh"))
-        assert meta["epsilon"] == 0.1
-        assert np.array_equal(rx, g.knot_xs)
-        assert np.array_equal(ry, g.knot_ys)
-        assert g.to_csv(comment="c").startswith("# c\nomega,value\n")

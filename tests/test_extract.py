@@ -7,15 +7,14 @@ from discert import extract
 from discert.bellops import AnglePair, bell_operator, chsh
 from discert.extract import (
     OMEGA_STAR,
-    AnalyticCurve,
     ExtractabilityCurve,
     GridSpec,
-    analytic,
+    analytic_curve,
     bardyn_locc,
     kaniewski_lo,
     xi_lower_bound,
 )
-from discert.envelope import build_g_epsilon
+from discert.envelope import PiecewiseLinear, build_g_epsilon
 from discert.sdpcore import FabProblem, solve_fab
 from oracles import feasible_cells, weak_duality_witness
 
@@ -187,7 +186,7 @@ class TestCurveObject:
 
     def test_g_epsilon_hook(self, curve_01):
         g = build_g_epsilon(curve_01, 0.1)
-        assert g.epsilon == 0.1
+        assert isinstance(g, PiecewiseLinear)
         assert g(S2) <= math.sqrt(0.5)
 
     def test_validation(self):
@@ -217,6 +216,10 @@ class TestCurveObject:
                 values=np.array([0.5, 0.9, 1.0]),
                 **ok,
             )
+        # NaN compares False everywhere, so it needs its own check
+        for om, va in (([2.0, 2.5], [0.5, np.nan]), ([2.0, np.nan], [0.5, 0.6]), ([2.0, np.inf], [0.5, 0.6])):
+            with pytest.raises(ValueError):
+                ExtractabilityCurve(omegas=np.array(om), values=np.array(va), **ok)
 
 
 class TestAnalytic:
@@ -244,17 +247,20 @@ class TestAnalytic:
             with pytest.raises(ValueError):
                 kaniewski_lo(bad)
         with pytest.raises(ValueError):
-            analytic("unknown", 2.5)
+            analytic_curve("unknown")
 
     def test_analytic_curve_objects(self):
-        with pytest.raises(ValueError):
-            AnalyticCurve("nope")
-        b = AnalyticCurve("bardyn_locc")
-        assert b(2.4) == bardyn_locc(2.4)
-        pl = b.to_piecewise_linear()
-        assert np.allclose(pl.xs, [2.0, S2])
-        assert np.allclose(pl.ys, [0.5, 1.0])
-        k = AnalyticCurve("kaniewski_lo").to_piecewise_linear()
-        assert np.allclose(k.xs, [2.0, OMEGA_STAR, S2])
-        assert np.allclose(k.ys, [0.5, 0.5, 1.0])
-        assert b.functional.name == "chsh"
+        b = analytic_curve("bardyn_locc")
+        assert np.array_equal(b.omegas, [2.0, S2])
+        assert np.array_equal(b.values, [0.5, 1.0])
+        k = analytic_curve("kaniewski_lo")
+        assert np.array_equal(k.omegas, [2.0, OMEGA_STAR, S2])
+        assert np.array_equal(k.values, [0.5, 0.5, 1.0])
+        for c in (b, k):
+            assert c.functional.name == "chsh"
+            assert (c.delta, c.mode, c.penalty) == (0.0, "analytic", 0.0)
+            assert c(-1.0) == 0.5  # trivial bound left of the first knot
+        # the knot curves are the closed forms, up to interpolation rounding
+        grid = np.linspace(2.0, S2, 201)
+        assert np.allclose(b(grid), [bardyn_locc(w) for w in grid], rtol=0.0, atol=1e-15)
+        assert np.allclose(k(grid), [kaniewski_lo(w) for w in grid], rtol=0.0, atol=1e-15)

@@ -40,9 +40,10 @@ def test_benchmark_patch_targets_exist():
 
 def test_penalty_curves_built_through_envelope_module(monkeypatch):
     # soundness must reach build_g_epsilon through the envelope module, the
-    # name the benchmark wraps, or the envelope.g_eps layer reads zero
+    # name the benchmark wraps, or the envelope.g_eps layer reads zero; it
+    # builds each G_eps once per call (both bound modes share the curve term)
     from discert import envelope
-    from discert.extract import AnalyticCurve
+    from discert.extract import analytic_curve
     from discert.security import ProtocolConfig, soundness
 
     calls = []
@@ -53,11 +54,14 @@ def test_penalty_curves_built_through_envelope_module(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(envelope, "build_g_epsilon", counting)
-    cfg = ProtocolConfig(
-        protocol="P2", n=1000, kappa=0.05, curve=AnalyticCurve("bardyn_locc"), omega_sharp=2.8, epsilon=0.1
-    )
-    soundness(cfg)
-    assert calls
+    for protocol in ("P2", "P3", "P4", "P5"):
+        threshold = {"omega_sharp": 2.8} if protocol in ("P2", "P3") else {"p_win_sharp": 0.84}
+        calls.clear()
+        cfg = ProtocolConfig(
+            protocol=protocol, n=1000, kappa=0.05, curve=analytic_curve("bardyn_locc"), epsilon=0.1, **threshold
+        )
+        soundness(cfg)
+        assert len(calls) == 1, protocol
 
 
 def test_version_single_source():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discert.bellops import AnglePair, bell_operator, chsh
-from discert.matqm import kron, partial_trace, pauli
+from discert.matqm import kron, pauli
 from discert.sdpcore import (
     _DIRS,
     GENERATORS,
@@ -22,7 +22,7 @@ from discert.sdpcore import (
     solve_fab,
     solve_fab_batch,
 )
-from oracles import cone_newton_system_by_inverse, supergrad_oracle, tightness_probe, weak_duality_witness
+from oracles import cone_newton_system_by_inverse, partial_trace, supergrad_oracle, tightness_probe, weak_duality_witness
 
 RT2 = math.sqrt(2.0)
 B_OPT = bell_operator(chsh(), AnglePair(math.pi / 4, math.pi / 4))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discert.bellops import BellFunctional, chsh, score_to_value
-from discert.extract import AnalyticCurve
+from discert.extract import analytic_curve
 from discert.security import (
     ProtocolConfig,
     SecurityReport,
@@ -22,7 +22,7 @@ from discert.security import (
 
 RT2 = math.sqrt(2.0)
 S2 = 2.0 * RT2
-ANA = AnalyticCurve("bardyn_locc")
+ANA = analytic_curve("bardyn_locc")
 
 
 def binom_cdf(n, p, k):
@@ -147,6 +147,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             p4(p_win_sharp=1.2)
 
+    def test_abort_rules(self):
+        assert p2(kappa=0.02, omega_sharp=2.8).parallel_cut == 2.8 - 0.02
+        # losses among n-1 = 99 tested rounds: floor(99 * (1 - 0.85 + 0.05)) = 19
+        assert p4(n=100, kappa=0.05, p_win_sharp=0.85).loss_threshold == 19
+
     def test_sequential_needs_game_form(self):
         tilted = BellFunctional(
             name="tilted",
@@ -232,6 +237,16 @@ class TestSoundness:
             r5.eps_complete,
             r5.delta_star,
         )
+
+    @pytest.mark.parametrize("protocol, mode", [("P1", "paper"), ("P2", "rigorous"), ("P3", "paper")])
+    def test_other_mode_matches_own_scan(self, protocol, mode):
+        # eps_sound_other_mode reuses the curve term; it must equal the scan
+        # minimum of a config built in the other mode from scratch
+        cfg = p2(n=5_000, protocol=protocol, epsilon=0.0 if protocol == "P1" else 0.1, bound_mode=mode)
+        other = dataclasses.replace(cfg, bound_mode="rigorous" if mode == "paper" else "paper")
+        a, b, hi = _terms(other)
+        grid = np.linspace(1e-9, hi, 10_000)
+        assert soundness(cfg).meta["eps_sound_other_mode"] == float(np.min(np.maximum(a(grid), b(grid))))
 
     def test_rigorous_never_beats_paper(self):
         for n in (1_000, 100_000):
