@@ -281,19 +281,25 @@ def chsh() -> BellFunctional:
     )
 
 
-def load_functional(spec: str) -> BellFunctional:
+def load_functional(spec: str, text: str | None = None) -> BellFunctional:
     """Load a functional by builtin name ('chsh') or from a JSON file.
 
     JSON format: {"gamma": [[g00, g01], [g10, g11]], "cA": [..], "cB": [..],
     "bounds": {"eta_l_min": .., "eta_l_max": .., "eta_q_min": .., "eta_q_max": ..}}
-    with "bounds" optional (computed numerically when absent).
+    with "bounds" optional (computed numerically when absent).  ``text`` is
+    the file's content when the caller has already read it; the file is
+    then not opened again.
     """
     if spec.lower() == "chsh":
         return chsh()
-    if not os.path.exists(spec):
-        raise FileNotFoundError(f"no builtin functional or file named {spec!r}")
-    with open(spec, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    if text is None:
+        if not os.path.exists(spec):
+            raise FileNotFoundError(f"no builtin functional or file named {spec!r}")
+        with open(spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("functional JSON must be an object")
     for key in ("gamma", "cA", "cB"):
         if key not in data:
             raise ValueError(f"functional JSON is missing key {key!r}")

@@ -168,13 +168,11 @@ def _resolve_threads(value: int | None) -> int | None:
 
 
 def _load_bell(spec: str, run: Run):
-    if spec.lower() != "chsh":
-        run.add_input(spec)
+    # parse the very text whose digest the manifest records
+    text = None if spec.lower() == "chsh" else run.add_input(spec)
     try:
-        return load_functional(spec)
-    except FileNotFoundError as err:
-        raise CliError(EXIT_USAGE, str(err)) from err
-    except (ValueError, json.JSONDecodeError) as err:
+        return load_functional(spec, text)
+    except (ValueError, TypeError, KeyError) as err:
         raise CliError(EXIT_USAGE, f"bad functional spec {spec!r}: {err}") from err
 
 
@@ -216,6 +214,14 @@ def _build_config(args, protocol: str, curve, functional, kappa: float) -> Proto
         raise CliError(EXIT_USAGE, f"bad protocol configuration: {err}") from err
 
 
+def _target_eps_c(value: float | None) -> float:
+    """--target-eps-c or its default; an error probability lies in (0, 1)."""
+    target = 0.01 if value is None else value
+    if not 0.0 < target < 1.0:
+        raise CliError(EXIT_USAGE, "--target-eps-c must lie in (0, 1)")
+    return target
+
+
 def _solve_kappa(args, protocol: str, functional, run: Run) -> float:
     """Resolve --kappa / --target-eps-c into a concrete kappa value."""
     if args.kappa is not None:
@@ -224,7 +230,7 @@ def _solve_kappa(args, protocol: str, functional, run: Run) -> float:
         if args.kappa <= 0.0:
             raise CliError(EXIT_USAGE, "--kappa must be positive")
         return args.kappa
-    target = 0.01 if args.target_eps_c is None else args.target_eps_c
+    target = _target_eps_c(args.target_eps_c)
     probe = _build_config(args, protocol, None, functional, kappa=1e-3)
     try:
         kap = kappa_for_target(probe, target)
@@ -334,7 +340,7 @@ def _scenario_from_args(args, run: Run):
         text = run.add_input(args.scenario)
         try:
             sc = load_scenario(text)
-        except (ValueError, KeyError, json.JSONDecodeError) as err:
+        except (ValueError, TypeError, KeyError) as err:
             raise CliError(EXIT_USAGE, f"bad scenario file {args.scenario!r}: {err}") from err
         seed = sc.seed if args.seed is None else args.seed
         trials = sc.trials if args.trials is None else args.trials
@@ -441,7 +447,7 @@ def _fig_eps_vs_n(args, run: Run, mhash_of) -> list[str]:
         raise CliError(EXIT_USAGE, "--n-points must be >= 1")
     if not 0.0 <= args.epsilon < math.inf:
         raise CliError(EXIT_USAGE, "--epsilon must be finite and nonnegative")
-    target = 0.01 if args.target_eps_c is None else args.target_eps_c
+    target = _target_eps_c(args.target_eps_c)
     n_values = np.unique(
         np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.n_points).astype(int)
     )

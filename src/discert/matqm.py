@@ -1,9 +1,8 @@
-"""Small dense matrix utilities for two-qubit quantum states.
+"""Small dense matrix utilities for two-qubit operators.
 
-Everything here works on 2x2 and 4x4 arrays only.  The certification
-pipeline stays on the real-symmetric path; complex Hermitian matrices
-appear only as simulator states.  Eigendecomposition of real symmetric
-matrices is LAPACK's, through ``np.linalg.eigh``.
+Everything here works on 2x2 and 4x4 arrays only, and the whole
+pipeline stays on the real-symmetric path.  Eigendecomposition of real
+symmetric matrices is LAPACK's, through ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -13,34 +12,15 @@ import dataclasses
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "TOL",
-    "HermMat",
-    "DensityMat",
     "EigSys",
     "pauli",
     "kron",
     "eig_sym",
 ]
 
-
-@dataclasses.dataclass(frozen=True)
-class Tolerances:
-    """Single source of truth for numerical tolerances.
-
-    algebra   -- algebraic identities (traces, marginals, reconstruction)
-    psd       -- positive-semidefiniteness slack accepted downstream
-    hermitian -- max |M - M^dagger| accepted when wrapping a matrix
-    density   -- eigenvalue floor accepted for density matrices
-    """
-
-    algebra: float = 1e-10
-    psd: float = 1e-8
-    hermitian: float = 1e-12
-    density: float = 1e-10
-
-
-TOL = Tolerances()
+# eig_sym's input checks: largest imaginary part, and largest asymmetry
+# relative to max(1, max |entry|)
+_SYMMETRY_SLACK = 1e-12
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -79,51 +59,6 @@ def _as_square(mat: np.ndarray) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class HermMat:
-    """A validated Hermitian matrix of dimension 2 or 4.
-
-    ``mat`` is stored read-only.  ``real`` is True when the imaginary part
-    vanishes within tolerance, in which case ``mat`` is a float64 array.
-    """
-
-    mat: np.ndarray
-    dim: int
-    real: bool
-
-    @classmethod
-    def wrap(cls, mat: np.ndarray) -> "HermMat":
-        m = _as_square(mat).astype(complex)
-        herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if herm_err > TOL.hermitian:
-            raise ValueError(f"matrix is not Hermitian within {TOL.hermitian} (error {herm_err:.3e})")
-        m = 0.5 * (m + m.conj().T)
-        is_real = float(np.max(np.abs(m.imag))) <= TOL.hermitian
-        store = np.ascontiguousarray(m.real) if is_real else np.ascontiguousarray(m)
-        store.setflags(write=False)
-        return cls(mat=store, dim=store.shape[0], real=is_real)
-
-
-@dataclasses.dataclass(frozen=True)
-class DensityMat:
-    """A validated density matrix: Hermitian, unit trace, eigenvalues >= -tol."""
-
-    mat: np.ndarray
-    dim: int
-    real: bool
-
-    @classmethod
-    def wrap(cls, mat: np.ndarray) -> "DensityMat":
-        h = HermMat.wrap(mat)
-        tr = float(np.trace(h.mat).real)
-        if abs(tr - 1.0) > TOL.algebra:
-            raise ValueError(f"density matrix trace must be 1 within {TOL.algebra}, got {tr!r}")
-        evals = np.linalg.eigvalsh(h.mat)
-        if float(evals[0]) < -TOL.density:
-            raise ValueError(f"density matrix has negative eigenvalue {float(evals[0]):.3e}")
-        return cls(mat=h.mat, dim=h.dim, real=h.real)
-
-
-@dataclasses.dataclass(frozen=True)
 class EigSys:
     """Eigendecomposition with ascending eigenvalues and orthonormal columns."""
 
@@ -135,11 +70,11 @@ def _as_real_symmetric(mat: np.ndarray) -> np.ndarray:
     """Validated, exactly symmetrized float copy of a real symmetric matrix."""
     m = _as_square(mat)
     if np.iscomplexobj(m):
-        if float(np.max(np.abs(np.asarray(m).imag))) > TOL.hermitian:
+        if float(np.max(np.abs(np.asarray(m).imag))) > _SYMMETRY_SLACK:
             raise ValueError("eig_sym expects a real symmetric matrix")
         m = m.real
     m = np.array(m, dtype=float)
-    if float(np.max(np.abs(m - m.T))) > TOL.hermitian * max(1.0, float(np.max(np.abs(m)))):
+    if float(np.max(np.abs(m - m.T))) > _SYMMETRY_SLACK * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError("eig_sym expects a symmetric matrix")
     return 0.5 * (m + m.T)
 

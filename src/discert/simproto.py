@@ -9,9 +9,11 @@ by (seed, trial, role), with the round index addressing a position in
 the pre-drawn per-role array, so any execution schedule reproduces the
 same records.
 
-Device settings here are plain angles in the Z-X plane, one per input
-per party; they are not restricted to the sweep module's angle box
-(the optimal CHSH device needs -pi/4).
+The models are the ones the CLI and scenario files build: an honest
+isotropic source or the abort attack, measured by a fixed-angle device.
+Device settings are plain angles in the Z-X plane, one per input per
+party; they are not restricted to the sweep module's angle box (the
+optimal CHSH device needs -pi/4).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .bellops import score_to_value
-from .matqm import DensityMat, pauli
+from .matqm import pauli
 from .security import ProtocolConfig
 
 __all__ = [
@@ -65,19 +67,13 @@ class SourceModel:
 
     kind: str
     mu: float = 0.0
-    states: tuple[DensityMat, ...] | None = None
     t_good: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("honest_isotropic", "custom_state_list", "abort_attack"):
+        if self.kind not in ("honest_isotropic", "abort_attack"):
             raise ValueError("unknown source kind")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError("mu must lie in [0, 1]")
-        if self.kind == "custom_state_list":
-            if not self.states:
-                raise ValueError("custom_state_list needs at least one state")
-            if any(s.dim != 4 for s in self.states):
-                raise ValueError("states must be two-qubit density matrices")
         if self.kind == "abort_attack" and (self.t_good is None or self.t_good < 1):
             raise ValueError("abort_attack needs a positive t_good index")
 
@@ -86,54 +82,41 @@ class SourceModel:
         return cls(kind="honest_isotropic", mu=float(mu))
 
     @classmethod
-    def custom_state_list(cls, states) -> "SourceModel":
-        return cls(kind="custom_state_list", states=tuple(states))
-
-    @classmethod
     def abort_attack(cls, t_good: int) -> "SourceModel":
         """Separable junk at index t_good, perfect singlets elsewhere."""
         return cls(kind="abort_attack", t_good=int(t_good))
 
-    def state_for(self, i: int, n: int) -> DensityMat:
-        """State of round i (1-based) in a run of n rounds."""
-        if not 1 <= i <= n:
-            raise ValueError("round index out of range")
+    def states(self, n: int) -> np.ndarray:
+        """Read-only (n, 4, 4) stack whose row i is the state of round i + 1."""
         if self.kind == "honest_isotropic":
-            return DensityMat.wrap(_isotropic(self.mu))
-        if self.kind == "custom_state_list":
-            return self.states[(i - 1) % len(self.states)]
-        return DensityMat.wrap(_JUNK if i == self.t_good else _PHI_PLUS)
+            return np.broadcast_to(_isotropic(self.mu), (n, 4, 4))
+        out = np.broadcast_to(_PHI_PLUS, (n, 4, 4)).copy()
+        if self.t_good <= n:
+            out[self.t_good - 1] = _JUNK
+        out.setflags(write=False)
+        return out
 
 
-def _angles(pair) -> tuple[float, float]:
-    if hasattr(pair, "a"):
-        return float(pair.a), float(pair.b)
-    a0, a1 = pair
-    return float(a0), float(a1)
+def _is_angle(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclasses.dataclass(frozen=True)
 class DeviceModel:
-    """Measurement settings per party: fixed per-input angles or scripts.
-
-    Adaptive scripts are pure functions (transcript, input) -> angle,
-    where the transcript is that side's own prior (input, outcome)
-    pairs; no cross-side dependence is possible by construction.
-    """
+    """Fixed measurement angles per party, indexed by that party's input."""
 
     kind: str
     alice: tuple[float, float] | None = None
     bob: tuple[float, float] | None = None
-    script_a: object | None = None
-    script_b: object | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("optimal_chsh", "fixed_angles", "adaptive"):
+        if self.kind not in ("optimal_chsh", "fixed_angles"):
             raise ValueError("unknown device kind")
-        if self.kind == "fixed_angles" and (self.alice is None or self.bob is None):
-            raise ValueError("fixed_angles needs angles for both parties")
-        if self.kind == "adaptive" and (self.script_a is None or self.script_b is None):
-            raise ValueError("adaptive needs scripts for both parties")
+        for side in ("alice", "bob"):
+            pair = getattr(self, side)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_angle, pair))):
+                raise ValueError(f"{self.kind} needs two finite angles for {side}")
+            object.__setattr__(self, side, (float(pair[0]), float(pair[1])))
 
     @classmethod
     def optimal_chsh(cls) -> "DeviceModel":
@@ -145,22 +128,7 @@ class DeviceModel:
 
     @classmethod
     def fixed_angles(cls, alice, bob) -> "DeviceModel":
-        return cls(kind="fixed_angles", alice=_angles(alice), bob=_angles(bob))
-
-    @classmethod
-    def adaptive(cls, script_a, script_b) -> "DeviceModel":
-        return cls(kind="adaptive", script_a=script_a, script_b=script_b)
-
-    @property
-    def is_adaptive(self) -> bool:
-        return self.kind == "adaptive"
-
-    def theta(self, side: str, transcript: tuple, inp: int) -> float:
-        if self.is_adaptive:
-            script = self.script_a if side == "A" else self.script_b
-            return float(script(transcript, inp))
-        pair = self.alice if side == "A" else self.bob
-        return pair[inp]
+        return cls(kind="fixed_angles", alice=alice, bob=bob)
 
 
 def _obs(theta: float) -> np.ndarray:
@@ -186,6 +154,7 @@ class TrialRecord:
     estimator (4/n) * sum of the signed score weights, or the win
     fraction converted to the Bell-value scale for sequential runs; the
     sequential abort decision itself uses the integer loss count.
+    ``stored_state`` is the read-only 4x4 state of the stored round.
     """
 
     protocol: str
@@ -198,7 +167,7 @@ class TrialRecord:
     w: np.ndarray
     omega_exp: float
     aborted: bool
-    stored_state: DensityMat
+    stored_state: np.ndarray
 
     def __post_init__(self) -> None:
         for f in _ROUND_FIELDS:
@@ -213,22 +182,11 @@ class TrialRecord:
         return (
             all(getattr(self, f) == getattr(other, f) for f in scalar)
             and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ROUND_FIELDS)
-            and np.array_equal(self.stored_state.mat, other.stored_state.mat)
+            and np.array_equal(self.stored_state, other.stored_state)
         )
 
     def wins(self) -> int:
         return int(self.w[self.w > 0].sum())
-
-    def to_json(self) -> str:
-        body = {
-            "protocol": self.protocol,
-            "n": self.n,
-            "t": self.t,
-            "omega_exp": self.omega_exp,
-            "aborted": self.aborted,
-            "wins": self.wins(),
-        }
-        return json.dumps(body, indent=2, sort_keys=True)
 
 
 def transcript_csv(rec: TrialRecord) -> str:
@@ -239,19 +197,6 @@ def transcript_csv(rec: TrialRecord) -> str:
         else:
             lines.append(f"{i + 1},{rec.x[i]},{rec.y[i]},{rec.a[i]},{rec.b[i]},{rec.w[i]}")
     return "\n".join(lines) + "\n"
-
-
-def _round_states(src: SourceModel, n: int) -> np.ndarray:
-    """Stacked per-round states for the vectorized sampler."""
-    if src.kind == "honest_isotropic":
-        return np.broadcast_to(_isotropic(src.mu), (n, 4, 4))
-    if src.kind == "abort_attack":
-        out = np.broadcast_to(_PHI_PLUS, (n, 4, 4)).copy()
-        if src.t_good <= n:
-            out[src.t_good - 1] = _JUNK
-        return out
-    mats = [src.states[i % len(src.states)].mat.real for i in range(n)]
-    return np.stack(mats)
 
 
 def _require_game_form(cfg: ProtocolConfig) -> None:
@@ -270,35 +215,20 @@ def run_protocol(cfg: ProtocolConfig, src: SourceModel, dev: DeviceModel, seed: 
     measured = np.ones(n, dtype=bool)
     measured[t - 1] = False
 
+    rhos = src.states(n)
     a_bits = np.full(n, -1, dtype=int)
     b_bits = np.full(n, -1, dtype=int)
-    if dev.is_adaptive:
-        tr_a: tuple = ()
-        tr_b: tuple = ()
-        for i in range(n):
-            if not measured[i]:
+    for xv in range(2):
+        for yv in range(2):
+            sel = measured & (xs == xv) & (ys == yv)
+            if not sel.any():
                 continue
-            rho = src.state_for(i + 1, n).mat.real
-            mats = _outcome_mats(dev.theta("A", tr_a, int(xs[i])), dev.theta("B", tr_b, int(ys[i])))
-            probs = np.maximum(np.einsum("oij,ji->o", mats, rho), 0.0)
-            o = int(np.searchsorted(np.cumsum(probs / probs.sum()), us[i], side="right"))
-            o = min(o, 3)
-            a_bits[i], b_bits[i] = o >> 1, o & 1
-            tr_a += ((int(xs[i]), o >> 1),)
-            tr_b += ((int(ys[i]), o & 1),)
-    else:
-        rhos = _round_states(src, n)
-        for xv in range(2):
-            for yv in range(2):
-                sel = measured & (xs == xv) & (ys == yv)
-                if not sel.any():
-                    continue
-                mats = _outcome_mats(dev.theta("A", (), xv), dev.theta("B", (), yv))
-                probs = np.maximum(np.einsum("oij,nji->no", mats, rhos[sel]), 0.0)
-                cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
-                o = np.minimum((cum <= us[sel, None]).sum(axis=1), 3)
-                a_bits[sel] = o >> 1
-                b_bits[sel] = o & 1
+            mats = _outcome_mats(dev.alice[xv], dev.bob[yv])
+            probs = np.maximum(np.einsum("oij,nji->no", mats, rhos[sel]), 0.0)
+            cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+            o = np.minimum((cum <= us[sel, None]).sum(axis=1), 3)
+            a_bits[sel] = o >> 1
+            b_bits[sel] = o & 1
 
     # win iff the signed outcome product matches the input product sign
     s = (1 - 2 * a_bits) * (1 - 2 * b_bits) * (1 - 2 * (xs & ys))
@@ -327,13 +257,13 @@ def run_protocol(cfg: ProtocolConfig, src: SourceModel, dev: DeviceModel, seed: 
         w=w_bits,
         omega_exp=float(omega_exp),
         aborted=bool(aborted),
-        stored_state=src.state_for(t, n),
+        stored_state=rhos[t - 1],
     )
 
 
 def _fast_win_prob(cfg: ProtocolConfig, src: SourceModel, dev: DeviceModel) -> float | None:
     """Per-round P(weight = +1) when rounds are i.i.d. sign variables."""
-    if src.kind != "honest_isotropic" or dev.is_adaptive:
+    if src.kind != "honest_isotropic":
         return None
     f = cfg.functional
     if any(abs(f.coeff_rescaled(x, y)) != 1.0 for x in range(2) for y in range(2)):
@@ -341,7 +271,7 @@ def _fast_win_prob(cfg: ProtocolConfig, src: SourceModel, dev: DeviceModel) -> f
     corr = 0.0
     for x in range(2):
         for y in range(2):
-            corr += f.gamma[x][y] * math.cos(dev.theta("A", (), x) - dev.theta("B", (), y))
+            corr += f.gamma[x][y] * math.cos(dev.alice[x] - dev.bob[y])
     omega_true = (1.0 - src.mu) * corr
     return 0.5 + omega_true / 8.0
 
@@ -406,34 +336,38 @@ class Scenario:
     trials: int
 
 
-def load_scenario(text: str) -> Scenario:
-    """Parse a scenario JSON document (adaptive devices are not loadable)."""
-    data = json.loads(text)
-    from .bellops import load_functional
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
 
-    functional = load_functional(data.get("functional", "chsh"))
+
+def load_scenario(text: str) -> Scenario:
+    """Parse a CHSH scenario JSON document into a protocol config and models."""
+    data = _object(json.loads(text), "a scenario")
+    if data.get("functional", "chsh") != "chsh":
+        raise ValueError("scenarios are CHSH-only; simulate other functionals with --bell")
     cfg = ProtocolConfig(
         protocol=data["protocol"],
         n=int(data["n"]),
         kappa=float(data["kappa"]),
-        functional=functional,
         omega_sharp=data.get("omega_sharp"),
         p_win_sharp=data.get("p_win_sharp"),
         epsilon=float(data.get("epsilon", 0.0)),
         bound_mode=data.get("bound_mode", "paper"),
     )
-    sdata = data["source"]
+    sdata = _object(data["source"], "the scenario source")
     if sdata["kind"] == "honest_isotropic":
         src = SourceModel.honest_isotropic(sdata.get("mu", 0.0))
     elif sdata["kind"] == "abort_attack":
         src = SourceModel.abort_attack(sdata["t_good"])
     else:
         raise ValueError("scenario sources must be honest_isotropic or abort_attack")
-    ddata = data["device"]
+    ddata = _object(data["device"], "the scenario device")
     if ddata["kind"] == "optimal_chsh":
         dev = DeviceModel.optimal_chsh()
     elif ddata["kind"] == "fixed_angles":
-        dev = DeviceModel.fixed_angles(tuple(ddata["alice"]), tuple(ddata["bob"]))
+        dev = DeviceModel.fixed_angles(ddata["alice"], ddata["bob"])
     else:
         raise ValueError("scenario devices must be optimal_chsh or fixed_angles")
     return Scenario(

@@ -204,6 +204,19 @@ def test_load_functional_builtin_and_file(tmp_path):
         load_functional("nonexistent.json")
 
 
+def test_load_functional_from_text(tmp_path):
+    # given the text, load_functional parses it and never touches the path
+    doc = {"gamma": [[1.0, 1.0], [1.0, -1.0]], "cA": [0.0, 0.0], "cB": [0.0, 0.0], "bounds": {
+        "eta_l_min": -2.0, "eta_l_max": 2.0, "eta_q_min": -2 * RT2, "eta_q_max": 2 * RT2}}
+    f = load_functional(str(tmp_path / "absent" / "given.json"), json.dumps(doc))
+    assert f.name == "given"
+    assert f.gamma == ((1.0, 1.0), (1.0, -1.0))
+    assert f.eta_q_max == 2 * RT2
+    for bad in ("[1, 2]", "5", '"chsh"'):
+        with pytest.raises(ValueError):
+            load_functional("given.json", bad)
+
+
 def test_load_functional_missing_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"gamma": [[1, 1], [1, -1]]}))

@@ -103,6 +103,46 @@ class TestExtract:
             == 2
         )
 
+    def test_functional_file_read_once(self, workdir, monkeypatch):
+        # the manifest digest must describe the very bytes that were parsed
+        import builtins
+
+        path = workdir / "tilted_in.json"
+        path.write_text(json.dumps({"gamma": [[1, 1], [1, -1]], "cA": [0.2, 0], "cB": [0, 0]}))
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(path):
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        out = workdir / "tilted_once"
+        argv = ["extract", "--bell", str(path), "--delta", "0.3", "--knots", "2", "--threads", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(opened) == 1
+        manifest = json.loads((workdir / "tilted_once.manifest.json").read_text())
+        assert manifest["inputs"][str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert json.loads(out.with_suffix(".json").read_text())["functional"] == "tilted_in"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"gamma": 5, "cA": [0, 0], "cB": [0, 0]}',
+            '{"gamma": [[1, 1], [1, -1]], "cA": [0, 0], "cB": [0, 0], "bounds": 3}',
+            '{"gamma": [[1, 1], [1, -1]], "cA": [0, 0], "cB": [0, 0], "bounds": {}}',
+            "[1, 2]",
+            "5",
+        ],
+    )
+    def test_malformed_functional_file(self, workdir, capsys, doc):
+        path = workdir / "malformed_functional.json"
+        path.write_text(doc)
+        assert main(["extract", "--bell", str(path), "--out", str(workdir / "x")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "bad functional spec" in err[0]
+
     def test_oversized_delta_clamps_to_trivial_curve(self, workdir, capsys):
         out = workdir / "triv"
         rc = main(["extract", "--delta", "1.0", "--knots", "5", "--threads", "1", "--out", str(out)])
@@ -240,12 +280,26 @@ class TestSecurity:
         assert "bad curve file" in capsys.readouterr().err
 
     def test_unreachable_target_is_numeric_error(self, workdir, curve_paths):
+        # a target in (0, 1) that no kappa meets: zero tolerated losses
         args = (
             ["security", "--curve", str(curve_paths["json"])]
-            + ["--protocol", "2", "--n", "1000", "--omega-sharp", "2.8"]
-            + ["--target-eps-c", "1.5", "--out", str(workdir / "x")]
+            + ["--protocol", "4", "--n", "1000", "--p-sharp", "1.0"]
+            + ["--target-eps-c", "0.01", "--out", str(workdir / "x")]
         )
         assert main(args) == 3
+
+    @pytest.mark.parametrize("target", ["1.5", "0", "nan"])
+    def test_out_of_range_target_is_usage_error(self, workdir, curve_paths, capsys, target):
+        inline = ["--n", "1000", "--omega-sharp", "2.8", "--out", str(workdir / "x")]
+        runs = [
+            ["security", "--curve", str(curve_paths["json"])] + inline,
+            ["simulate", "--trials", "5"] + inline,
+            ["figures", "--which", "eps-vs-n", "--n-points", "2", "--out-dir", str(workdir / "figs_t")],
+        ]
+        for argv in runs:
+            assert main(argv + ["--protocol", "2", "--target-eps-c", target]) == 2, argv[0]
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "--target-eps-c" in err[0]
 
 
 class TestSimulate:
@@ -328,11 +382,36 @@ class TestSimulate:
         manifest = json.loads((workdir / "sim_s.manifest.json").read_text())
         assert str(sc) in manifest["inputs"]
 
-    def test_scenario_errors(self, workdir):
+    def test_scenario_errors(self, workdir, capsys):
         bad = workdir / "bad_scen.json"
         bad.write_text(json.dumps({"protocol": "P2"}))
         assert main(["simulate", "--scenario", str(bad), "--out", str(workdir / "x")]) == 2
         assert main(["simulate", "--out", str(workdir / "x")]) == 2  # inline needs protocol/n
+        capsys.readouterr()
+        base = {
+            "protocol": "P2",
+            "n": 100,
+            "kappa": 0.05,
+            "omega_sharp": 2.6,
+            "source": {"kind": "honest_isotropic"},
+            "device": {"kind": "optimal_chsh"},
+        }
+        fixed = {"kind": "fixed_angles", "bob": [0.8, -0.8]}
+        docs = [
+            [base],
+            dict(base, source=5),
+            dict(base, device="optimal_chsh"),
+            dict(base, omega_sharp="abc"),
+            dict(base, n=[100]),
+            dict(base, device=dict(fixed, alice=5)),
+            dict(base, device=dict(fixed, alice=[0.0])),
+            dict(base, functional=str(workdir / "missing_functional.json")),
+        ]
+        for doc in docs:
+            bad.write_text(json.dumps(doc))
+            assert main(["simulate", "--scenario", str(bad), "--out", str(workdir / "x")]) == 2, doc
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "bad scenario file" in err[0], doc
 
 
 class TestFigures:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discert.matqm import DensityMat, HermMat, eig_sym, kron, pauli
+from discert.matqm import eig_sym, kron, pauli
 from oracles import fidelity, jacobi_eig, partial_trace
 
 RT2 = np.sqrt(2.0)
@@ -179,20 +179,3 @@ def test_fidelity_linear_in_state(seed, p):
     rhs = p * fidelity(r1, PHI_PLUS) + (1 - p) * fidelity(r2, PHI_PLUS)
     assert abs(lhs - rhs) <= 1e-12
 
-
-def test_hermmat_validation():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        HermMat.wrap(bad)
-    ok = HermMat.wrap(np.ones((2, 2)))
-    assert ok.real
-    cplx = HermMat.wrap(np.array([[1.0, 1j], [-1j, 0.0]]))
-    assert not cplx.real
-
-
-def test_densitymat_validation():
-    with pytest.raises(ValueError):
-        DensityMat.wrap(2.0 * PHI_PLUS)  # trace 2
-    with pytest.raises(ValueError):
-        DensityMat.wrap(np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
-    assert DensityMat.wrap(PHI_PLUS).real

@@ -64,6 +64,27 @@ def test_penalty_curves_built_through_envelope_module(monkeypatch):
         assert len(calls) == 1, protocol
 
 
+def test_slow_path_trials_through_simproto_module(monkeypatch):
+    # the per-round path must call run_protocol through the simproto module,
+    # the name the benchmark wraps, once per trial, or the simproto.trial
+    # layer and slow_us_per_trial read zero
+    from discert import simproto
+    from discert.security import ProtocolConfig
+
+    calls = []
+    original = simproto.run_protocol
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("trial"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simproto, "run_protocol", counting)
+    cfg = ProtocolConfig(protocol="P2", n=50, kappa=0.05, omega_sharp=2.6, epsilon=0.1)
+    src = simproto.SourceModel.abort_attack(7)
+    simproto.estimate_abort_rate(cfg, src, simproto.DeviceModel.optimal_chsh(), trials=5, seed=1)
+    assert calls == [0, 1, 2, 3, 4]
+
+
 def test_version_single_source():
     from discert import disctl
 
