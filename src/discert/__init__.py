@@ -18,7 +18,7 @@ from .extract import (
     kaniewski_lo,
     xi_lower_bound,
 )
-from .sdpcore import FabProblem, FabSolution, solve_fab, solve_fab_batch
+from .sdpcore import FabSolution, solve_fab_batch
 from .security import (
     ProtocolConfig,
     SecurityReport,
@@ -42,7 +42,6 @@ __all__ = [
     "BellFunctional",
     "DeviceModel",
     "ExtractabilityCurve",
-    "FabProblem",
     "FabSolution",
     "GridSpec",
     "PiecewiseLinear",
@@ -63,7 +62,6 @@ __all__ = [
     "load_functional",
     "load_scenario",
     "run_protocol",
-    "solve_fab",
     "solve_fab_batch",
     "soundness",
     "xi_lower_bound",

@@ -3,6 +3,7 @@
 Subcommands
 -----------
 extract    sweep a Bell functional into a certified extractability curve
+           (the only subcommand that sweeps; the others read its curve files)
 security   evaluate soundness/completeness for one protocol configuration
 simulate   Monte Carlo abort-rate estimate for a source/device scenario
 figures    figure-ready CSV bundles (g-eps, eps-vs-n, xi-vs-analytic)
@@ -227,8 +228,6 @@ def _solve_kappa(args, protocol: str, functional, run: Run) -> float:
     if args.kappa is not None:
         if args.target_eps_c is not None:
             raise CliError(EXIT_USAGE, "--kappa and --target-eps-c are mutually exclusive")
-        if args.kappa <= 0.0:
-            raise CliError(EXIT_USAGE, "--kappa must be positive")
         return args.kappa
     target = _target_eps_c(args.target_eps_c)
     probe = _build_config(args, protocol, None, functional, kappa=1e-3)
@@ -252,16 +251,13 @@ def cmd_extract(args, argv) -> int:
     f = _load_bell(args.bell, run)
 
     delta = args.delta
-    if not delta > 0.0:
-        raise CliError(EXIT_USAGE, "--delta must be positive")
     if delta > math.pi / 4:
         _warn(f"delta {delta:g} exceeds pi/4; clamped to {math.pi / 4:.6g}")
         delta = math.pi / 4
-    if args.knots < 2:
-        raise CliError(EXIT_USAGE, "--knots must be >= 2")
-    knots = tuple(float(w) for w in np.linspace(f.eta_l_max, f.eta_q_max, args.knots))
-
-    g = GridSpec(delta=delta, mode=args.mode, omega_knots=knots)
+    try:
+        g = GridSpec(delta=delta, mode=args.mode, knots=args.knots)
+    except ValueError as err:
+        raise CliError(EXIT_USAGE, f"bad grid: {err}") from err
     penalty = g.penalty(f)
     run.resolved.update({"delta": delta, "penalty": penalty, "knot_count": args.knots})
     if penalty >= f.eta_q_max - f.eta_l_max:
@@ -368,6 +364,8 @@ def cmd_simulate(args, argv) -> int:
     cfg, src, dev, seed, trials = _scenario_from_args(args, run)
     if trials < 1:
         raise CliError(EXIT_USAGE, "--trials must be >= 1")
+    if seed < 0:
+        raise CliError(EXIT_USAGE, "--seed must be >= 0")
     run.resolved.update({"seed": seed, "trials": trials, "kappa": cfg.kappa})
 
     rate, (lo, hi) = estimate_abort_rate(cfg, src, dev, trials=trials, seed=seed)
@@ -496,32 +494,24 @@ def _fig_eps_vs_n(args, run: Run, mhash_of) -> list[str]:
 
 
 def _fig_xi_vs_analytic(args, run: Run, mhash_of) -> list[str]:
-    deltas = _parse_float_list(args.delta, "--delta")
-    if len(deltas) != 2:
-        raise CliError(EXIT_USAGE, "--delta needs exactly two comma-separated values")
-    threads = _resolve_threads(args.threads)
-    f = chsh()
-    cols = []
-    omegas = None
-    for d in deltas:
-        if not 0.0 < d <= math.pi / 4:
-            raise CliError(EXIT_USAGE, f"delta {d:g} outside (0, pi/4]")
-        g = GridSpec(delta=d, mode=args.mode)
-        try:
-            curve = xi_lower_bound(f, g, workers=threads)
-        except ValueError as err:
-            raise CliError(EXIT_NUMERIC, f"sweep failed at delta {d:g}: {err}") from err
-        run.stage("sweep", delta=d, mode=args.mode, knots=len(curve.omegas))
-        if omegas is None:
-            omegas = np.asarray(curve.omegas, dtype=float)
-        cols.append(np.asarray(curve.evaluate(omegas), dtype=float))
-    bardyn = np.array([bardyn_locc(w) for w in omegas])
-    kaniewski = np.array([kaniewski_lo(w) for w in omegas])
-    header = ["omega"] + [f"xi_delta_{d:g}" for d in deltas] + ["bardyn", "kaniewski"]
+    if args.curve is None:
+        raise CliError(EXIT_USAGE, "xi-vs-analytic needs --curve with CHSH curve files from `extract`")
+    paths = args.curve.split(",")
+    curves = [_load_curve(path, chsh(), run) for path in paths]
+    # every curve is read at the first curve's knots
+    omegas = curves[0].omegas
+    try:
+        bardyn = np.array([bardyn_locc(w) for w in omegas])
+        kaniewski = np.array([kaniewski_lo(w) for w in omegas])
+    except ValueError as err:
+        raise CliError(EXIT_USAGE, f"bad curve file {paths[0]!r}: {err}") from err
+    cols = [c.evaluate(omegas) for c in curves]
+    header = ["omega"] + [f"xi_delta_{c.delta:g}" for c in curves] + ["bardyn", "kaniewski"]
     path = os.path.join(args.out_dir, "xi_vs_analytic.csv")
     run.write_output(
         path, _csv_table(header, [omegas] + cols + [bardyn, kaniewski], f"manifest: {mhash_of()}")
     )
+    run.stage("xi-vs-analytic", deltas=[c.delta for c in curves], knots=int(omegas.size))
     return [path]
 
 
@@ -624,7 +614,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", help="figure-ready CSV bundles")
     p.add_argument("--which", required=True, choices=("g-eps", "eps-vs-n", "xi-vs-analytic"))
     p.add_argument("--out-dir", default="figures", help="output directory")
-    p.add_argument("--curve", default=None, help="numeric curve JSON (default: analytic reference)")
+    p.add_argument(
+        "--curve", default=None, help="curve JSON from `extract` (default: analytic); xi-vs-analytic: A.json,B.json"
+    )
     p.add_argument("--bell", default="chsh", help="builtin name or functional JSON path")
     p.add_argument("--eps", default="0,0.05,0.1,0.15", help="epsilon list for g-eps")
     p.add_argument("--protocol", type=int, default=2, help="protocol for eps-vs-n (2 or 3)")
@@ -634,9 +626,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=float, default=1e3)
     p.add_argument("--n-max", type=float, default=1e7)
     p.add_argument("--n-points", type=int, default=25)
-    p.add_argument("--delta", default="0.05,0.02", help="two deltas for xi-vs-analytic")
-    p.add_argument("--mode", choices=("paper", "tight"), default="paper")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("rerun", help="re-execute a run from its manifest")

@@ -42,7 +42,6 @@ __all__ = [
 
 FLOOR = 0.5
 _SEED_BATCH = 256
-_DEFAULT_KNOTS = 65
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,24 +50,21 @@ class GridSpec:
 
     mode 'paper' uses penalty delta*(c0+c1) (cells of double width around
     each grid point); 'tight' uses half of that (nearest-grid-point cells).
-    ``omega_knots`` of None defers to 65 evenly spaced knots between the
-    functional's local and quantum maxima.
+    The sweep visits ``knots`` evenly spaced scores from the functional's
+    local maximum to its quantum maximum.
     """
 
     delta: float = 0.01
     mode: str = "paper"
-    omega_knots: tuple[float, ...] | None = None
+    knots: int = 65
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta <= math.pi / 4:
             raise ValueError("delta must be in (0, pi/4]")
         if self.mode not in ("paper", "tight"):
             raise ValueError("mode must be 'paper' or 'tight'")
-        if self.omega_knots is not None:
-            ks = tuple(float(k) for k in self.omega_knots)
-            if len(ks) < 2 or any(b <= a for a, b in zip(ks, ks[1:])):
-                raise ValueError("omega_knots must be >= 2 strictly ascending values")
-            object.__setattr__(self, "omega_knots", ks)
+        if self.knots < 2:
+            raise ValueError("knots must be >= 2")
 
     def penalty(self, functional: BellFunctional) -> float:
         c0, c1 = lipschitz_constants(functional)
@@ -81,12 +77,7 @@ class GridSpec:
         return np.linspace(0.0, math.pi / 2, n)
 
     def knots_for(self, functional: BellFunctional) -> np.ndarray:
-        if self.omega_knots is None:
-            return np.linspace(functional.eta_l_max, functional.eta_q_max, _DEFAULT_KNOTS)
-        ks = np.asarray(self.omega_knots)
-        if ks[0] < functional.eta_q_min - 1e-12 or ks[-1] > functional.eta_q_max + 1e-12:
-            raise ValueError("omega_knots must lie within the functional's quantum range")
-        return ks
+        return np.linspace(functional.eta_l_max, functional.eta_q_max, self.knots)
 
 
 def _is_swap_symmetric(f: BellFunctional) -> bool:
@@ -219,11 +210,13 @@ class ExtractabilityCurve:
 
 
 def xi_lower_bound(f: BellFunctional, g: GridSpec, workers: int | None = None) -> ExtractabilityCurve:
-    """Sweep the grid over all score knots and assemble the certified curve.
+    """Sweep the grid over the knots of ``g`` and assemble the certified curve.
 
-    ``workers`` <= 1 runs serially; otherwise a process pool splits each
-    batch of cell solves.  Every knot is minimized exactly over its
-    feasible cells; ``raw_values`` are those grid minima.
+    This is the package's one sweep; the CLI reaches it only through
+    ``extract``, and everything downstream reads the curve files that
+    command writes.  ``workers`` <= 1 runs serially; otherwise a process
+    pool splits each batch of cell solves.  Every knot is minimized exactly
+    over its feasible cells; ``raw_values`` are those grid minima.
     """
     if workers is None:
         workers = min(os.cpu_count() or 1, 8)

@@ -27,19 +27,15 @@ weak-duality witnesses and a tightness probe) live with the test suite in
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from .matqm import kron, pauli
 
 __all__ = [
-    "FabProblem",
     "FabSolution",
     "GENERATORS",
     "bell_diag_sigma",
-    "phi_plus",
-    "solve_fab",
     "solve_fab_batch",
 ]
 
@@ -69,30 +65,10 @@ _MAX_INNER = 80  # Newton steps per barrier stage
 _ETAS = tuple(8.0**k for k in range(12))
 
 
-def phi_plus() -> np.ndarray:
-    """Density matrix of the maximally entangled target state."""
-    v = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    return np.outer(v, v)
-
-
 def bell_diag_sigma(t: np.ndarray) -> np.ndarray:
     """sigma(t) for coefficient vector(s) t of shape (..., 5)."""
     t = np.asarray(t, dtype=float)
     return _I4 / 4.0 + np.einsum("...i,iab->...ab", t, _DIRS)
-
-
-@dataclasses.dataclass(frozen=True)
-class FabProblem:
-    """One program instance: Bell operator and threshold."""
-
-    bell_op: np.ndarray
-    omega: float
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.bell_op, dtype=float)
-        if b.shape != (4, 4) or np.max(np.abs(b - b.T)) > 1e-10:
-            raise ValueError("bell_op must be a real symmetric 4x4 matrix")
-        object.__setattr__(self, "bell_op", b)
 
 
 _STATUS_NAMES = {0: "optimal", 1: "max-iter", 2: "infeasible"}
@@ -383,9 +359,3 @@ def solve_fab_batch(bells: np.ndarray, omegas: np.ndarray) -> dict[str, np.ndarr
         "iterations": iters,
         "psd_slack": psd_slack,
     }
-
-
-def solve_fab(problem: FabProblem) -> FabSolution:
-    """Solve a single fidelity program instance."""
-    out = solve_fab_batch(problem.bell_op[None, :, :], np.array([problem.omega]))
-    return FabSolution.from_batch(out, 0)

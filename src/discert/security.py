@@ -114,8 +114,8 @@ class ProtocolConfig:
             raise ValueError("protocol must be one of P1..P5")
         if int(self.n) != self.n or self.n < 2:
             raise ValueError("n must be an integer >= 2")
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
         if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be >= 0")
         if self.protocol == "P1" and self.epsilon != 0.0:

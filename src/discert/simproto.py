@@ -342,6 +342,14 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _count(value, what: str) -> int:
+    """A nonnegative JSON integer; integral floats such as 100.0 pass too."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral or value < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse a CHSH scenario JSON document into a protocol config and models."""
     data = _object(json.loads(text), "a scenario")
@@ -349,7 +357,7 @@ def load_scenario(text: str) -> Scenario:
         raise ValueError("scenarios are CHSH-only; simulate other functionals with --bell")
     cfg = ProtocolConfig(
         protocol=data["protocol"],
-        n=int(data["n"]),
+        n=_count(data["n"], "n"),
         kappa=float(data["kappa"]),
         omega_sharp=data.get("omega_sharp"),
         p_win_sharp=data.get("p_win_sharp"),
@@ -360,7 +368,7 @@ def load_scenario(text: str) -> Scenario:
     if sdata["kind"] == "honest_isotropic":
         src = SourceModel.honest_isotropic(sdata.get("mu", 0.0))
     elif sdata["kind"] == "abort_attack":
-        src = SourceModel.abort_attack(sdata["t_good"])
+        src = SourceModel.abort_attack(_count(sdata["t_good"], "t_good"))
     else:
         raise ValueError("scenario sources must be honest_isotropic or abort_attack")
     ddata = _object(data["device"], "the scenario device")
@@ -374,6 +382,6 @@ def load_scenario(text: str) -> Scenario:
         config=cfg,
         source=src,
         device=dev,
-        seed=int(data.get("seed", 0)),
-        trials=int(data.get("trials", 1)),
+        seed=_count(data.get("seed", 0), "seed"),
+        trials=_count(data.get("trials", 1), "trials"),
     )

@@ -8,6 +8,7 @@ checks:
   fidelity with a pure target, by index contraction and plain traces;
 - ``cone_newton_system_by_inverse``: the barrier Newton system from
   explicit inverses and einsum contractions;
+- ``solve_one``: one fidelity program through the batch solver;
 - ``supergrad_oracle``: first-order projected-supergradient solver of
   the fidelity program (real five-term or complex nine-term family);
 - ``weak_duality_margin``/``weak_duality_witness``: sampled feasible
@@ -28,7 +29,7 @@ import numpy as np
 from discert.bellops import AnglePair, BellFunctional, bell_operator_stack
 from discert.extract import GridSpec
 from discert.matqm import eig_sym, kron, pauli
-from discert.sdpcore import _LAM_CAP, GENERATORS, FabProblem, FabSolution
+from discert.sdpcore import _LAM_CAP, GENERATORS, FabSolution, solve_fab_batch
 
 _DIRS = GENERATORS / 4.0
 _PAULIS = {"X": pauli("X").real, "Y": pauli("Y"), "Z": pauli("Z").real}
@@ -170,8 +171,14 @@ def _project_coeffs(that: np.ndarray, dirs: np.ndarray, rounds: int = 12) -> np.
     return t
 
 
+def solve_one(bell_op: np.ndarray, omega: float) -> FabSolution:
+    """The barrier solver on one (bell_op, omega) instance."""
+    return FabSolution.from_batch(solve_fab_batch(bell_op[None], [omega]), 0)
+
+
 def supergrad_oracle(
-    problem: FabProblem,
+    bell_op: np.ndarray,
+    omega: float,
     iters: int = 1500,
     seed: int = 0,
     family: str = "real5",
@@ -194,9 +201,8 @@ def supergrad_oracle(
         raise ValueError("family must be 'real5' or 'complex9'")
     m = dirs.shape[0]
     complex_path = np.iscomplexobj(dirs)
-    b = problem.bell_op.astype(complex) if complex_path else problem.bell_op
+    b = bell_op.astype(complex) if complex_path else bell_op
     eye = np.eye(4, dtype=complex if complex_path else float)
-    omega = problem.omega
     rng = np.random.default_rng(seed)
 
     best = -math.inf
@@ -244,7 +250,8 @@ def supergrad_oracle(
 
 def weak_duality_margin(
     solution: FabSolution,
-    problem: FabProblem,
+    bell_op: np.ndarray,
+    omega: float,
     samples: int = 1000,
     seed: int = 0,
 ) -> float:
@@ -255,9 +262,9 @@ def weak_duality_margin(
     (within tolerance) is the weak-duality sanity check.
     """
     rng = np.random.default_rng(seed)
-    es = eig_sym(problem.bell_op)
+    es = eig_sym(bell_op)
     lam_max = float(es.values[-1])
-    if problem.omega > lam_max + 1e-9:
+    if omega > lam_max + 1e-9:
         raise ValueError("no feasible states: omega exceeds the operator maximum")
     psi = es.vectors[:, -1]
     top = np.outer(psi, psi)
@@ -278,9 +285,9 @@ def weak_duality_margin(
                 g[jj, :, 1:] = 0.0
         rho = np.einsum("nar,nbr->nab", g, g.conj())
         rho /= np.einsum("naa->n", rho).real[:, None, None]
-        bval = np.einsum("nab,ba->n", rho, problem.bell_op).real
+        bval = np.einsum("nab,ba->n", rho, bell_op).real
         u = rng.uniform(size=k)
-        target = problem.omega + u * (lam_max - problem.omega)
+        target = omega + u * (lam_max - omega)
         denom = lam_max - bval
         q = np.where(denom > 1e-14, (target - bval) / np.where(denom > 1e-14, denom, 1.0), 0.0)
         q = np.clip(q, 0.0, 1.0)
@@ -293,16 +300,17 @@ def weak_duality_margin(
 
 def weak_duality_witness(
     solution: FabSolution,
-    problem: FabProblem,
+    bell_op: np.ndarray,
+    omega: float,
     samples: int = 1000,
     seed: int = 0,
     tol: float = 1e-8,
 ) -> bool:
     """True iff no sampled feasible state undercuts the certified value."""
-    return weak_duality_margin(solution, problem, samples, seed) >= -tol
+    return weak_duality_margin(solution, bell_op, omega, samples, seed) >= -tol
 
 
-def tightness_probe(problem: FabProblem, solution: FabSolution, null_tol: float = 1e-5) -> float:
+def tightness_probe(bell_op: np.ndarray, omega: float, solution: FabSolution, null_tol: float = 1e-5) -> float:
     """|tr[rho* sigma] - value| for a complementary state rho*.
 
     rho* is built inside the (near-)null space of the slack matrix and mixed
@@ -310,20 +318,20 @@ def tightness_probe(problem: FabProblem, solution: FabSolution, null_tol: float 
     an optimum such a state exists and attains the bound exactly, so a small
     return value certifies tightness with an explicit attacking state.
     """
-    slack = solution.sigma - solution.lam * problem.bell_op - solution.mu * np.eye(4)
+    slack = solution.sigma - solution.lam * bell_op - solution.mu * np.eye(4)
     es = eig_sym(slack)
     scale = max(1.0, float(np.max(np.abs(es.values))))
     null_dim = int(np.sum(es.values <= null_tol * scale))
     null_dim = max(null_dim, 1)
     v = es.vectors[:, :null_dim]
-    m = v.T @ problem.bell_op @ v
+    m = v.T @ bell_op @ v
     em = eig_sym(m) if null_dim > 1 else None
     if em is None:
         u = v[:, 0]
         rho = np.outer(u, u)
     else:
         lo, hi = float(em.values[0]), float(em.values[-1])
-        target = min(max(problem.omega, lo), hi)
+        target = min(max(omega, lo), hi)
         q = 0.0 if hi <= lo else (target - lo) / (hi - lo)
         u_lo = v @ em.vectors[:, 0]
         u_hi = v @ em.vectors[:, -1]

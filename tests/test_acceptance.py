@@ -18,7 +18,6 @@ import pytest
 from discert.bellops import bell_operator, chsh
 from discert.envelope import build_g_epsilon, lower_convex_hull
 from discert.extract import GridSpec, analytic_curve, bardyn_locc, xi_lower_bound
-from discert.sdpcore import FabProblem
 from discert.security import ProtocolConfig, completeness, kappa_for_target, soundness, zubkov_C
 from discert.simproto import (
     DeviceModel,
@@ -89,8 +88,8 @@ def test_ac2_every_curve_value_witnessed(fine, chsh_f):
     for i, (om, cell, sol) in enumerate(
         zip(curve.omegas, curve.argmin_cells, curve.argmin_solutions)
     ):
-        prob = FabProblem(bell_op=bell_operator(chsh_f, cell), omega=float(om) - curve.penalty)
-        if not weak_duality_witness(sol, prob, samples=10**4, seed=815 + i, tol=1e-8):
+        b, omega = bell_operator(chsh_f, cell), float(om) - curve.penalty
+        if not weak_duality_witness(sol, b, omega, samples=10**4, seed=815 + i, tol=1e-8):
             bad.append(i)
     n_knots = curve.omegas.size
     _verdict(

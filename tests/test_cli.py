@@ -159,6 +159,8 @@ class TestExtract:
     [
         ["extract", "--delta", "nan"],
         ["simulate", "--protocol", "2", "--n", "100", "--omega-sharp", "2.7", "--kappa", "0.1", "--mu", "1.5"],
+        ["simulate", "--protocol", "2", "--n", "100", "--omega-sharp", "2.7", "--kappa", "0.1", "--seed", "-1"],
+        ["simulate", "--protocol", "2", "--n", "100", "--omega-sharp", "2.7", "--kappa", "inf"],
         ["figures", "--which", "g-eps", "--eps", "-0.1"],
         ["figures", "--which", "eps-vs-n", "--n-min", "0"],
         ["figures", "--which", "eps-vs-n", "--epsilon", "-0.1", "--n-points", "2"],
@@ -261,6 +263,8 @@ class TestSecurity:
         assert main(bad_cfg) == 2
         nan_eps = ["security", "--curve", str(curve_paths["json"]), "--epsilon", "nan"] + common
         assert main(nan_eps + ["--out", str(workdir / "x")]) == 2
+        inf_kappa = ["security", "--curve", str(curve_paths["json"]), "--kappa", "inf"] + common
+        assert main(inf_kappa + ["--out", str(workdir / "x")]) == 2
 
     @pytest.mark.parametrize(
         "doc",
@@ -406,9 +410,14 @@ class TestSimulate:
             dict(base, device=dict(fixed, alice=5)),
             dict(base, device=dict(fixed, alice=[0.0])),
             dict(base, functional=str(workdir / "missing_functional.json")),
+            dict(base, n=100.7),
+            dict(base, source={"kind": "abort_attack", "t_good": 2.9}),
+            dict(base, seed=-1),
+            dict(base, trials=3.5),
+            json.dumps(base).replace('"kappa": 0.05', '"kappa": 1e999'),
         ]
         for doc in docs:
-            bad.write_text(json.dumps(doc))
+            bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             assert main(["simulate", "--scenario", str(bad), "--out", str(workdir / "x")]) == 2, doc
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and "bad scenario file" in err[0], doc
@@ -502,24 +511,25 @@ class TestFigures:
         )
         assert rc == 2
 
-    def test_xi_vs_analytic(self, workdir):
+    @pytest.fixture(scope="class")
+    def xi_curves(self, workdir, curve_02, curve_01):
+        """The shared delta-0.2 and delta-0.1 sweeps as curve files."""
+        paths = []
+        for name, curve in (("xi_02.json", curve_02), ("xi_01.json", curve_01)):
+            path = workdir / name
+            path.write_text(curve.to_json())
+            paths.append(path)
+        return paths
+
+    def _xi_figure(self, out, curves):
+        argv = ["figures", "--which", "xi-vs-analytic", "--out-dir", str(out)]
+        if curves:
+            argv += ["--curve", ",".join(str(c) for c in curves)]
+        return main(argv)
+
+    def test_xi_vs_analytic(self, workdir, xi_curves):
         out = workdir / "figs_x"
-        rc = main(
-            [
-                "figures",
-                "--which",
-                "xi-vs-analytic",
-                "--delta",
-                "0.2,0.1",
-                "--mode",
-                "tight",
-                "--threads",
-                "1",
-                "--out-dir",
-                str(out),
-            ]
-        )
-        assert rc == 0
+        assert self._xi_figure(out, xi_curves) == 0
         path = out / "xi_vs_analytic.csv"
         header = path.read_text().splitlines()[1].split(",")
         assert header == ["omega", "xi_delta_0.2", "xi_delta_0.1", "bardyn", "kaniewski"]
@@ -531,28 +541,32 @@ class TestFigures:
         assert np.all(data[:, 2] >= data[:, 1] - 1e-9)
         assert np.all(data[:, 4] <= data[:, 3] + 1e-12)
 
-    def test_bad_delta_list(self, workdir):
-        rc = main(
-            [
-                "figures",
-                "--which",
-                "xi-vs-analytic",
-                "--delta",
-                "0.2",
-                "--out-dir",
-                str(workdir / "figs_e"),
-            ]
-        )
-        assert rc == 2
-        rc = main(
-            [
-                "figures",
-                "--which",
-                "xi-vs-analytic",
-                "--delta",
-                "0.2,oops",
-                "--out-dir",
-                str(workdir / "figs_e"),
-            ]
-        )
-        assert rc == 2
+    def test_xi_vs_analytic_manifest_replays(self, workdir, xi_curves):
+        out = workdir / "figs_xr"
+        assert self._xi_figure(out, xi_curves) == 0
+        manifest = json.loads((out / "xi-vs-analytic.manifest.json").read_text())
+        for c in xi_curves:
+            assert manifest["inputs"][str(c)] == hashlib.sha256(c.read_bytes()).hexdigest()
+        path = out / "xi_vs_analytic.csv"
+        before = path.read_bytes()
+        path.unlink()
+        assert main(["rerun", str(out / "xi-vs-analytic.manifest.json")]) == 0
+        assert path.read_bytes() == before
+
+    def test_bad_curve_list(self, workdir, xi_curves, capsys):
+        non_chsh = workdir / "xi_tilted.json"
+        non_chsh.write_text(xi_curves[0].read_text().replace('"chsh"', '"tilted"'))
+        off_range = workdir / "xi_off_range.json"
+        knots = [{"omega": 1.5, "value": 0.5}, {"omega": 2.5, "value": 0.6}]
+        off_range.write_text(json.dumps({"functional": "chsh", "knots": knots}))
+        cases = [
+            [],
+            [xi_curves[0], workdir / "xi_missing.json"],
+            [non_chsh],
+            [off_range, xi_curves[1]],
+        ]
+        capsys.readouterr()
+        for curves in cases:
+            assert self._xi_figure(workdir / "figs_e", curves) == 2, curves
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), curves

@@ -15,8 +15,7 @@ from discert.extract import (
     xi_lower_bound,
 )
 from discert.envelope import PiecewiseLinear, build_g_epsilon
-from discert.sdpcore import FabProblem, solve_fab
-from oracles import feasible_cells, weak_duality_witness
+from oracles import feasible_cells, solve_one, weak_duality_witness
 
 RT2 = math.sqrt(2.0)
 S2 = 2.0 * RT2
@@ -33,9 +32,7 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(delta=0.1, mode="loose")
         with pytest.raises(ValueError):
-            GridSpec(omega_knots=(2.0,))
-        with pytest.raises(ValueError):
-            GridSpec(omega_knots=(2.5, 2.5))
+            GridSpec(knots=1)
 
     def test_penalty_modes(self):
         # CHSH Lipschitz pair sums to 8, so the cell slack is 8 delta
@@ -55,10 +52,7 @@ class TestGridSpec:
         assert ks.size == 65
         assert ks[0] == pytest.approx(2.0)
         assert ks[-1] == pytest.approx(S2)
-        custom = GridSpec(delta=0.1, omega_knots=(2.1, 2.5, 2.8)).knots_for(f)
-        assert np.allclose(custom, [2.1, 2.5, 2.8])
-        with pytest.raises(ValueError):
-            GridSpec(delta=0.1, omega_knots=(0.0, 3.0)).knots_for(f)
+        assert np.array_equal(GridSpec(delta=0.1, knots=5).knots_for(f), np.linspace(2.0, S2, 5))
 
 
 class TestFeasibleCells:
@@ -111,13 +105,9 @@ class TestSweep:
         for ki in (16, 40, 64):
             cell = c.argmin_cells[ki]
             sol = c.argmin_solutions[ki]
-            p = FabProblem(
-                bell_op=bell_operator(c.functional, cell),
-                omega=float(c.omegas[ki]) - c.penalty,
-            )
-            re_solved = solve_fab(p)
-            assert abs(re_solved.value - c.raw_values[ki]) < 1e-9
-            assert weak_duality_witness(sol, p, samples=500)
+            b, omega = bell_operator(c.functional, cell), float(c.omegas[ki]) - c.penalty
+            assert abs(solve_one(b, omega).value - c.raw_values[ki]) < 1e-9
+            assert weak_duality_witness(sol, b, omega, samples=500)
 
     def test_refinement_raises_curve(self, curve_01, curve_02):
         # halving the angle step halves the penalty, so every knot of the
@@ -126,14 +116,14 @@ class TestSweep:
         assert np.all(curve_01.values >= curve_02.values - 1e-9)
 
     def test_tight_mode_dominates_paper(self):
-        knots = (2.0, 2.2, 2.4, 2.6, S2)
-        a = xi_lower_bound(chsh(), GridSpec(delta=0.25, mode="paper", omega_knots=knots), workers=1)
-        b = xi_lower_bound(chsh(), GridSpec(delta=0.25, mode="tight", omega_knots=knots), workers=1)
+        a = xi_lower_bound(chsh(), GridSpec(delta=0.25, mode="paper", knots=5), workers=1)
+        b = xi_lower_bound(chsh(), GridSpec(delta=0.25, mode="tight", knots=5), workers=1)
         assert np.all(b.values >= a.values - 1e-12)
 
     def test_parallel_matches_serial(self, monkeypatch):
-        # delta 0.05 gives solver calls of >= 512 rows, which the sweep
-        # splits over the pool; smaller calls never reach it
+        # delta 0.05 with two knots solves all 561 cells in one call at the
+        # lower knot; calls of >= 512 rows are split over the pool, smaller
+        # calls never reach it
         pool_maps = []
 
         class RecordingPool(extract.ProcessPoolExecutor):
@@ -142,7 +132,7 @@ class TestSweep:
                 return super().map(fn, *iterables, **kwargs)
 
         monkeypatch.setattr(extract, "ProcessPoolExecutor", RecordingPool)
-        spec = GridSpec(delta=0.05, omega_knots=(2.0, 2.4, S2))
+        spec = GridSpec(delta=0.05, knots=2)
         a = xi_lower_bound(chsh(), spec, workers=1)
         b = xi_lower_bound(chsh(), spec, workers=2)
         assert pool_maps, "the pooled path did not run"

@@ -11,18 +11,23 @@ from discert.matqm import kron, pauli
 from discert.sdpcore import (
     _DIRS,
     GENERATORS,
-    FabProblem,
     FabSolution,
     _chol4,
     _cone_newton_system,
     _feasible,
     _tril_inv4,
     bell_diag_sigma,
-    phi_plus,
-    solve_fab,
     solve_fab_batch,
 )
-from oracles import cone_newton_system_by_inverse, partial_trace, supergrad_oracle, tightness_probe, weak_duality_witness
+from discert.simproto import _PHI_PLUS
+from oracles import (
+    cone_newton_system_by_inverse,
+    partial_trace,
+    solve_one,
+    supergrad_oracle,
+    tightness_probe,
+    weak_duality_witness,
+)
 
 RT2 = math.sqrt(2.0)
 B_OPT = bell_operator(chsh(), AnglePair(math.pi / 4, math.pi / 4))
@@ -61,7 +66,7 @@ def test_zero_operator_frozen_value():
     # grid oracle first: attains 0.25 at t = 0 and nothing beats it
     oracle = _grid_oracle_zero_operator()
     assert abs(oracle - 0.25) < 1e-12
-    sol = solve_fab(FabProblem(bell_op=np.zeros((4, 4)), omega=0.0))
+    sol = solve_one(np.zeros((4, 4)), 0.0)
     # frozen: 1/4, the best minimum eigenvalue over unit-trace Bell-diagonal states
     assert abs(sol.value - 0.25) < 1e-6
     assert sol.value >= oracle - 1e-9
@@ -76,19 +81,19 @@ def test_boundary_fixture_printed_solution():
     # certificate check of the printed pair before trusting it: with the
     # singlet-correlated witness state the slack is PSD and the value is 1
     assert lam_star * omega + mu_star == pytest.approx(1.0, abs=1e-12)
-    slack = phi_plus() - lam_star * b - mu_star * np.eye(4)
+    slack = _PHI_PLUS - lam_star * b - mu_star * np.eye(4)
     assert float(np.linalg.eigvalsh(slack)[0]) >= -1e-12
     # the multiplier itself is degenerate at the boundary, so only the
     # optimal value is compared against the solver
-    sol = solve_fab(FabProblem(bell_op=b, omega=omega))
+    sol = solve_one(b, omega)
     assert sol.status == "optimal"
     assert abs(sol.value - 1.0) < 1e-4
 
 
 def test_chsh_operator_endpoints():
-    sol = solve_fab(FabProblem(bell_op=B_OPT, omega=2.0 * RT2))
+    sol = solve_one(B_OPT, 2.0 * RT2)
     assert abs(sol.value - 1.0) < 1e-4
-    sol2 = solve_fab(FabProblem(bell_op=B_OPT, omega=2.0))
+    sol2 = solve_one(B_OPT, 2.0)
     assert sol2.value >= 0.5 - 1e-6
 
 
@@ -96,13 +101,13 @@ def test_piecewise_linear_cell_value():
     # f at the optimal CHSH angles is the max of two lines with a kink at
     # 2 sqrt2 / 3: flat mixing branch below, steep singlet branch above
     for omega in (0.5, 0.9, 1.0, 1.5, 2.0, 2.5, 2.8):
-        sol = solve_fab(FabProblem(bell_op=B_OPT, omega=omega))
+        sol = solve_one(B_OPT, omega)
         expected = max(omega / (8.0 * RT2) + 0.25, omega / (2.0 * RT2))
         assert abs(sol.value - expected) < 1e-6
 
 
 def test_solution_feasibility_fields():
-    sol = solve_fab(FabProblem(bell_op=B_OPT, omega=2.2))
+    sol = solve_one(B_OPT, 2.2)
     assert sol.value == pytest.approx(sol.lam * 2.2 + sol.mu, abs=1e-12)
     assert sol.psd_slack >= -1e-8
     assert sol.lam >= 0.0
@@ -113,15 +118,15 @@ def test_solution_feasibility_fields():
 
 
 def test_infeasible_above_quantum_max():
-    sol = solve_fab(FabProblem(bell_op=B_OPT, omega=2.0 * RT2 + 0.01))
+    sol = solve_one(B_OPT, 2.0 * RT2 + 0.01)
     assert sol.status == "infeasible"
 
 
 def test_supergrad_oracle_agreement():
-    p = FabProblem(bell_op=B_OPT, omega=2.0 * RT2)
-    assert supergrad_oracle(p) >= 0.999
+    p = (B_OPT, 2.0 * RT2)
+    assert supergrad_oracle(*p) >= 0.999
     # weak-duality ordering: the oracle is a feasible point, never above the solver
-    assert supergrad_oracle(p) <= solve_fab(p).value + 1e-6
+    assert supergrad_oracle(*p) <= solve_one(*p).value + 1e-6
 
 
 def test_supergrad_oracle_random_operators():
@@ -130,25 +135,22 @@ def test_supergrad_oracle_random_operators():
         a = rng.normal(size=(4, 4))
         b = (a + a.T) / 2.0
         omega = float(np.linalg.eigvalsh(b)[-1]) - 0.1
-        p = FabProblem(bell_op=b, omega=omega)
-        sol = solve_fab(p)
-        assert abs(supergrad_oracle(p) - sol.value) <= 1e-3
+        sol = solve_one(b, omega)
+        assert abs(supergrad_oracle(b, omega) - sol.value) <= 1e-3
 
 
 def test_weak_duality_witness():
-    p = FabProblem(bell_op=B_OPT, omega=2.4)
-    sol = solve_fab(p)
-    assert weak_duality_witness(sol, p, samples=10_000)
+    sol = solve_one(B_OPT, 2.4)
+    assert weak_duality_witness(sol, B_OPT, 2.4, samples=10_000)
     import dataclasses
 
     inflated = dataclasses.replace(sol, mu=sol.mu + 0.1, value=sol.value + 0.1)
-    assert not weak_duality_witness(inflated, p, samples=10_000)
+    assert not weak_duality_witness(inflated, B_OPT, 2.4, samples=10_000)
 
 
 def test_tightness_probe_at_optimum():
-    p = FabProblem(bell_op=B_OPT, omega=2.4)
-    sol = solve_fab(p)
-    assert tightness_probe(p, sol) <= 1e-5
+    sol = solve_one(B_OPT, 2.4)
+    assert tightness_probe(B_OPT, 2.4, sol) <= 1e-5
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,8 +172,8 @@ def test_scale_covariance(seed, c):
     a = rng.normal(size=(4, 4))
     b = (a + a.T) / 2.0
     omega = float(np.linalg.eigvalsh(b)[-1]) - 0.5
-    v1 = solve_fab(FabProblem(bell_op=b, omega=omega)).value
-    v2 = solve_fab(FabProblem(bell_op=c * b, omega=c * omega)).value
+    v1 = solve_one(b, omega).value
+    v2 = solve_one(c * b, c * omega).value
     assert abs(v1 - v2) <= 1e-8
 
 
@@ -185,15 +187,8 @@ def test_batch_matches_single():
         omegas.append(float(np.linalg.eigvalsh(b)[-1]) - rng.uniform(0.2, 1.5))
     out = solve_fab_batch(np.stack(bells), np.array(omegas))
     for i, (b, w) in enumerate(zip(bells, omegas)):
-        sol = solve_fab(FabProblem(bell_op=b, omega=w))
+        sol = solve_one(b, w)
         assert sol.value == pytest.approx(float(out["value"][i]), abs=1e-12)
-
-
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        FabProblem(bell_op=np.ones((3, 3)), omega=0.0)
-    with pytest.raises(ValueError):
-        FabProblem(bell_op=np.triu(np.ones((4, 4))), omega=0.0)
 
 
 def _strictly_feasible_iterates(rng, k):
@@ -253,4 +248,4 @@ def test_solution_from_batch_row():
     assert sol.value == float(out["value"][0])
     assert sol.iterations == int(out["iterations"][0])
     assert np.array_equal(sol.t, out["t"][0])
-    assert sol.value == pytest.approx(solve_fab(FabProblem(bell_op=B_OPT, omega=2.4)).value, abs=1e-12)
+    assert sol.value == pytest.approx(solve_one(B_OPT, 2.4).value, abs=1e-12)

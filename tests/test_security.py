@@ -123,8 +123,9 @@ class TestConfig:
             p2(n=1)
         with pytest.raises(ValueError):
             p2(n=2.5)
-        with pytest.raises(ValueError):
-            p2(kappa=0.0)
+        for kappa in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                p2(kappa=kappa)
         with pytest.raises(ValueError):
             p2(epsilon=-0.1)
         with pytest.raises(ValueError):

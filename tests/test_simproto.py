@@ -348,6 +348,10 @@ class TestScenario:
         assert (sc.seed, sc.trials) == (11, 400)
         rate, _ = estimate_abort_rate(sc.config, sc.source, sc.device, trials=50, seed=sc.seed)
         assert 0.0 <= rate <= 1.0
+        # integral floats are counts too, and load as ints
+        sc = load_scenario(json.dumps(dict(doc, n=2000.0, seed=11.0, trials=400.0)))
+        assert (sc.config.n, sc.seed, sc.trials) == (2000, 11, 400)
+        assert all(type(v) is int for v in (sc.config.n, sc.seed, sc.trials))
 
     def test_fixed_angles_device(self):
         doc = {
@@ -392,6 +396,12 @@ class TestScenario:
             {"device": {"kind": "fixed_angles", "alice": [0.0, 1.0, 2.0], "bob": [0.0, 1.0]}},
             {"functional": "tilted.json"},
             {"functional": {"gamma": [[1, 1], [1, -1]]}},
+            {"n": 100.7},
+            {"source": {"kind": "abort_attack", "t_good": 2.9}},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"trials": 3.5},
+            {"trials": True},
         ],
     )
     def test_rejects_malformed_documents(self, change):
