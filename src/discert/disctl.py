@@ -198,21 +198,25 @@ def _default_epsilon(protocol: str, value: float | None) -> float:
     return 0.0 if protocol == "P1" else 0.1
 
 
-def _build_config(args, protocol: str, curve, functional, kappa: float) -> ProtocolConfig:
+def _config(**fields) -> ProtocolConfig:
+    """The one place a command builds a ProtocolConfig; bad fields exit 2."""
     try:
-        return ProtocolConfig(
-            protocol=protocol,
-            n=args.n,
-            kappa=kappa,
-            curve=curve,
-            functional=functional,
-            omega_sharp=args.omega_sharp,
-            p_win_sharp=args.p_sharp,
-            epsilon=_default_epsilon(protocol, args.epsilon),
-            bound_mode=args.bound_mode,
-        )
+        return ProtocolConfig(**fields)
     except (ValueError, TypeError) as err:
         raise CliError(EXIT_USAGE, f"bad protocol configuration: {err}") from err
+
+
+def _build_config(args, protocol: str, curve, functional, kappa: float) -> ProtocolConfig:
+    return _config(
+        protocol=protocol,
+        n=args.n,
+        kappa=kappa,
+        curve=curve,
+        functional=functional,
+        omega_sharp=args.omega_sharp,
+        p_win_sharp=args.p_sharp,
+        epsilon=_default_epsilon(protocol, args.epsilon),
+    )
 
 
 def _target_eps_c(value: float | None) -> float:
@@ -223,6 +227,13 @@ def _target_eps_c(value: float | None) -> float:
     return target
 
 
+def _kappa_for(probe: ProtocolConfig, target: float) -> float:
+    try:
+        return kappa_for_target(probe, target)
+    except ValueError as err:
+        raise CliError(EXIT_NUMERIC, f"cannot resolve kappa for completeness target {target}: {err}") from err
+
+
 def _solve_kappa(args, protocol: str, functional, run: Run) -> float:
     """Resolve --kappa / --target-eps-c into a concrete kappa value."""
     if args.kappa is not None:
@@ -230,11 +241,7 @@ def _solve_kappa(args, protocol: str, functional, run: Run) -> float:
             raise CliError(EXIT_USAGE, "--kappa and --target-eps-c are mutually exclusive")
         return args.kappa
     target = _target_eps_c(args.target_eps_c)
-    probe = _build_config(args, protocol, None, functional, kappa=1e-3)
-    try:
-        kap = kappa_for_target(probe, target)
-    except ValueError as err:
-        raise CliError(EXIT_NUMERIC, f"no kappa meets completeness target {target}: {err}") from err
+    kap = _kappa_for(_build_config(args, protocol, None, functional, kappa=1e-3), target)
     run.resolved["kappa"] = kap
     run.stage("kappa-solve", target_eps_c=target, kappa=kap)
     return kap
@@ -245,7 +252,9 @@ def _solve_kappa(args, protocol: str, functional, run: Run) -> float:
 
 
 def cmd_extract(args, argv) -> int:
-    run = Run("extract", _params_from(args), argv)
+    params = _params_from(args)
+    params.pop("threads")  # the worker count changes no output byte: keep it out of the identity hash
+    run = Run("extract", params, argv)
     threads = _resolve_threads(args.threads)
     run.resolved["threads"] = threads
     f = _load_bell(args.bell, run)
@@ -443,16 +452,16 @@ def _fig_eps_vs_n(args, run: Run, mhash_of) -> list[str]:
         raise CliError(EXIT_USAGE, "--n-min and --n-max need 0 < n-min <= n-max")
     if args.n_points < 1:
         raise CliError(EXIT_USAGE, "--n-points must be >= 1")
-    if not 0.0 <= args.epsilon < math.inf:
-        raise CliError(EXIT_USAGE, "--epsilon must be finite and nonnegative")
     target = _target_eps_c(args.target_eps_c)
     n_values = np.unique(
         np.logspace(math.log10(args.n_min), math.log10(args.n_max), args.n_points).astype(int)
     )
     n_values = n_values[n_values >= 2]
+    if n_values.size == 0:
+        raise CliError(EXIT_USAGE, "--n-min and --n-max leave no round count n >= 2")
 
     def eps_sound(n: int, omega_sharp: float, epsilon: float) -> float:
-        probe = ProtocolConfig(
+        probe = _config(
             protocol=protocol,
             n=int(n),
             kappa=1e-3,
@@ -460,13 +469,8 @@ def _fig_eps_vs_n(args, run: Run, mhash_of) -> list[str]:
             functional=f,
             omega_sharp=omega_sharp,
             epsilon=epsilon,
-            bound_mode=args.bound_mode,
         )
-        try:
-            kap = kappa_for_target(probe, target)
-        except ValueError as err:
-            raise CliError(EXIT_NUMERIC, f"no kappa meets completeness target {target}: {err}") from err
-        return soundness(dataclasses.replace(probe, kappa=kap)).eps_sound
+        return soundness(dataclasses.replace(probe, kappa=_kappa_for(probe, target))).eps_sound
 
     w_max = 2.0 * _RT2
     omegas = (2.7, 2.75, 2.8, w_max)
@@ -525,14 +529,21 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     return values
 
 
+# each bundle's builder and the flags it reads; only those enter its identity hash
+_FIGURES = {
+    "g-eps": (_fig_g_eps, ("curve", "bell", "eps")),
+    "eps-vs-n": (
+        _fig_eps_vs_n,
+        ("curve", "bell", "protocol", "epsilon", "target_eps_c", "n_min", "n_max", "n_points"),
+    ),
+    "xi-vs-analytic": (_fig_xi_vs_analytic, ("curve",)),
+}
+
+
 def cmd_figures(args, argv) -> int:
-    run = Run("figures", _params_from(args), argv)
-    builders = {
-        "g-eps": _fig_g_eps,
-        "eps-vs-n": _fig_eps_vs_n,
-        "xi-vs-analytic": _fig_xi_vs_analytic,
-    }
-    paths = builders[args.which](args, run, run.identity_hash)
+    build, flags = _FIGURES[args.which]
+    run = Run("figures", {k: getattr(args, k) for k in ("which", "out_dir") + flags}, argv)
+    paths = build(args, run, run.identity_hash)
     run.finish(os.path.join(args.out_dir, f"{args.which}.manifest.json"))
     print(f"wrote {len(paths)} file(s) to {args.out_dir}: " + ", ".join(os.path.basename(p) for p in paths))
     return EXIT_OK
@@ -574,7 +585,6 @@ def _add_common_security_flags(p: argparse.ArgumentParser) -> None:
         help="solve kappa for this completeness target (default 0.01 when --kappa absent)",
     )
     p.add_argument("--epsilon", type=float, default=None, help="fidelity slack (default 0, or 0.1 for P2..P5)")
-    p.add_argument("--bound-mode", choices=("paper", "rigorous"), default="paper")
     p.add_argument("--bell", default="chsh", help="builtin name or functional JSON path")
 
 
@@ -612,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("figures", help="figure-ready CSV bundles")
-    p.add_argument("--which", required=True, choices=("g-eps", "eps-vs-n", "xi-vs-analytic"))
+    p.add_argument("--which", required=True, choices=tuple(_FIGURES))
     p.add_argument("--out-dir", default="figures", help="output directory")
     p.add_argument(
         "--curve", default=None, help="curve JSON from `extract` (default: analytic); xi-vs-analytic: A.json,B.json"
@@ -622,7 +632,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", type=int, default=2, help="protocol for eps-vs-n (2 or 3)")
     p.add_argument("--epsilon", type=float, default=0.1, help="fixed epsilon for eps-vs-n")
     p.add_argument("--target-eps-c", type=float, default=None, help="completeness target (default 0.01)")
-    p.add_argument("--bound-mode", choices=("paper", "rigorous"), default="paper")
     p.add_argument("--n-min", type=float, default=1e3)
     p.add_argument("--n-max", type=float, default=1e7)
     p.add_argument("--n-points", type=int, default=25)

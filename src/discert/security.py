@@ -5,13 +5,14 @@ compare against a threshold omega_sharp - kappa; protocols 4 and 5 play
 the rescaled game sequentially and count losses against a threshold
 derived from p_win_sharp - kappa.  Soundness is an inner optimization
 over a free split parameter delta > 0 between a concentration term a
-(strictly decreasing in delta) and a curve term b (non-decreasing), so
+(non-increasing in delta) and a curve term b (non-decreasing), so
 the infimum of max{a, b} sits at their crossing when one exists.
 
-Two exponent normalizations ship for the parallel concentration terms:
-'paper' uses exp(-(n-1)x^2/gamma*), 'rigorous' the direct bounded-range
-constant exp(-(n-1)x^2/(2 gamma*^2)).  Reports carry both headline
-numbers so the discrepancy stays visible.
+The parallel concentration terms bound the statistic the simulator
+computes, omega_exp = (4/n) * sum over the n-1 tested rounds of
+gamma~_xy * (+-1).  Each round term 4 gamma~_xy (+-1) lies in
+[-4 gamma*, 4 gamma*], so Hoeffding's inequality for independent rounds
+gives exp(-r^2 / (32 (n-1) gamma*^2)) for a deviation r of the sum.
 """
 
 from __future__ import annotations
@@ -79,11 +80,15 @@ def zubkov_C(n: int, p: float, k: float) -> float:
     return _phi(sign * math.sqrt(2.0 * n * max(_kl_binary(q, p), 0.0)))
 
 
-def hoeffding_tail(n: int, r: float, range_width: float) -> float:
-    """Bound P[sum - mean >= r] for n independent terms of given range."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    return math.exp(-2.0 * r * r / (n * range_width * range_width))
+def hoeffding_tail(n: int, r, range_width: float):
+    """Hoeffding's bound exp(-2 r^2 / (n w^2)) on P[sum - mean >= r].
+
+    The sum has n independent terms, each in an interval of width w =
+    ``range_width``; the same bound holds for P[sum - mean <= -r].
+    Deviations r <= 0 get the trivial bound 1.  ``r`` may be an array.
+    """
+    r = np.maximum(r, 0.0)
+    return np.exp(-2.0 * r * r / (n * range_width * range_width))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,7 +101,9 @@ class ProtocolConfig:
     Simulation-only configs may omit it; soundness requires it.  The abort
     rules live here too: the parallel protocols abort at an observed Bell
     value at or below ``parallel_cut``, the sequential ones above
-    ``loss_threshold`` losses.
+    ``loss_threshold`` losses.  The observed Bell value is (4/n) times the
+    sum of the n-1 tested round scores, so an honest device with mean
+    ``omega_sharp`` aborts on a deviation of n*kappa - omega_sharp in that sum.
     """
 
     protocol: str
@@ -107,7 +114,6 @@ class ProtocolConfig:
     omega_sharp: float | None = None
     p_win_sharp: float | None = None
     epsilon: float = 0.0
-    bound_mode: str = "paper"
 
     def __post_init__(self) -> None:
         if self.protocol not in _PARALLEL + _SEQUENTIAL:
@@ -116,12 +122,10 @@ class ProtocolConfig:
             raise ValueError("n must be an integer >= 2")
         if not 0.0 < self.kappa < math.inf:
             raise ValueError("kappa must be positive and finite")
-        if not self.epsilon >= 0.0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
         if self.protocol == "P1" and self.epsilon != 0.0:
             raise ValueError("P1 fixes epsilon = 0")
-        if self.bound_mode not in ("paper", "rigorous"):
-            raise ValueError("bound_mode must be 'paper' or 'rigorous'")
         if self.is_parallel:
             if self.omega_sharp is None or self.p_win_sharp is not None:
                 raise ValueError("P1..P3 take omega_sharp, not p_win_sharp")
@@ -140,10 +144,9 @@ class ProtocolConfig:
     def is_parallel(self) -> bool:
         return self.protocol in _PARALLEL
 
-    @property
-    def concentration_denom(self) -> float:
-        """Exponent denominator of the parallel concentration bound."""
-        return _concentration_denom(self.functional, self.bound_mode)
+    def round_tail(self, r):
+        """Bound for a deviation r of the n-1 tested round scores' sum; each spans 8 gamma*."""
+        return hoeffding_tail(self.n - 1, r, 8.0 * self.functional.gamma_star)
 
     @property
     def parallel_cut(self) -> float:
@@ -156,11 +159,6 @@ class ProtocolConfig:
         return math.floor((self.n - 1) * (1.0 - self.p_win_sharp + self.kappa))
 
 
-def _concentration_denom(functional: BellFunctional, bound_mode: str) -> float:
-    g = functional.gamma_star
-    return g if bound_mode == "paper" else 2.0 * g**2
-
-
 @dataclasses.dataclass(frozen=True)
 class SecurityReport:
     """Optimized soundness/completeness pair with the terms at delta*."""
@@ -171,7 +169,6 @@ class SecurityReport:
     delta_star: float
     a_term: float
     b_term: float
-    bound_mode: str
     meta: dict
 
     def __post_init__(self) -> None:
@@ -186,13 +183,6 @@ class SecurityReport:
         return json.dumps(body, indent=2, sort_keys=True)
 
 
-def _parallel_a(n: int, denom: float):
-    def a(d):
-        return np.exp(-(n - 1) * np.square(d) / denom)
-
-    return a
-
-
 def _terms(cfg: ProtocolConfig):
     """Build vectorized a(delta), b(delta) and the search bracket."""
     n = cfg.n
@@ -202,7 +192,11 @@ def _terms(cfg: ProtocolConfig):
         # ``envelope.build_g_epsilon`` (perfbench/tracing.py) see this call
         g = envelope.build_g_epsilon(cfg.curve, cfg.epsilon)
     if cfg.is_parallel:
-        a = _parallel_a(n, cfg.concentration_denom)
+
+        def a(d):
+            # tested rounds averaging at most parallel_cut - d pass only if
+            # their score sum exceeds its mean by parallel_cut + (n-1) d
+            return cfg.round_tail(cfg.parallel_cut + (n - 1) * d)
 
         def arg(d):
             return ((n - 1) / n) * (cfg.parallel_cut - d) + f.eta_q_min / n
@@ -254,14 +248,15 @@ def soundness(cfg: ProtocolConfig) -> SecurityReport:
         x0, x1 = lo, hi
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (x0 + x1)
+            if mid == x0 or mid == x1:
+                break  # adjacent floats: every further step would keep the bracket
             if (a(mid) - b(mid)) > 0.0:
                 x0 = mid
             else:
                 x1 = mid
         cands += [x0, x1]
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    b_grid = b(grid)
-    obj_grid = np.maximum(a(grid), b_grid)
+    obj_grid = np.maximum(a(grid), b(grid))
     cands.append(float(grid[int(np.argmin(obj_grid))]))
 
     cand_arr = np.asarray(cands)
@@ -278,15 +273,7 @@ def soundness(cfg: ProtocolConfig) -> SecurityReport:
         "threshold": cfg.omega_sharp if cfg.is_parallel else cfg.p_win_sharp,
         "notes": [],
     }
-    if cfg.is_parallel:
-        # the curve term and the bracket do not depend on the bound mode
-        other = "rigorous" if cfg.bound_mode == "paper" else "paper"
-        a_other = _parallel_a(cfg.n, _concentration_denom(cfg.functional, other))
-        meta["eps_sound_other_mode"] = float(np.min(np.maximum(a_other(grid), b_grid)))
-        meta["notes"].append(
-            "concentration exponent normalization differs between modes; both headline values reported"
-        )
-    else:
+    if not cfg.is_parallel:
         meta["notes"].append(
             "loss threshold uses the failure-count parameterization; curve argument floor divides by n"
         )
@@ -297,7 +284,6 @@ def soundness(cfg: ProtocolConfig) -> SecurityReport:
         delta_star=d_star,
         a_term=a_star,
         b_term=b_star,
-        bound_mode=cfg.bound_mode,
         meta=meta,
     )
 
@@ -306,7 +292,7 @@ def completeness(cfg: ProtocolConfig) -> float:
     """Abort probability bound for an honest device at the threshold."""
     n = cfg.n
     if cfg.is_parallel:
-        val = 2.0 * math.exp(-(n - 1) * cfg.kappa**2 / cfg.concentration_denom)
+        val = float(cfg.round_tail(n * cfg.kappa - cfg.omega_sharp))
     else:
         val = 1.0 - zubkov_C(n - 1, 1.0 - cfg.p_win_sharp, cfg.loss_threshold)
     return min(max(val, 0.0), 1.0)
@@ -317,7 +303,11 @@ def kappa_for_target(cfg: ProtocolConfig, target_eps_c: float) -> float:
     if not 0.0 < target_eps_c < 1.0:
         raise ValueError("target must be in (0, 1)")
     if cfg.is_parallel:
-        kap = math.sqrt(cfg.concentration_denom * math.log(2.0 / target_eps_c) / (cfg.n - 1))
+        # round_tail(r) = target at r = 8 gamma* sqrt((n-1) ln(1/target) / 2)
+        r = 8.0 * cfg.functional.gamma_star * math.sqrt((cfg.n - 1) * math.log(1.0 / target_eps_c) / 2.0)
+        kap = (r + cfg.omega_sharp) / cfg.n
+        if kap <= 0.0:
+            raise ValueError("every kappa > 0 meets the target at this threshold")
         return kap * (1.0 + 1e-12)  # keep completeness at or below target after rounding
     lo = 1e-12
     hi = cfg.p_win_sharp + 2.0 / (cfg.n - 1)  # threshold saturates at n-1 losses

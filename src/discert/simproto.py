@@ -362,7 +362,6 @@ def load_scenario(text: str) -> Scenario:
         omega_sharp=data.get("omega_sharp"),
         p_win_sharp=data.get("p_win_sharp"),
         epsilon=float(data.get("epsilon", 0.0)),
-        bound_mode=data.get("bound_mode", "paper"),
     )
     sdata = _object(data["source"], "the scenario source")
     if sdata["kind"] == "honest_isotropic":

@@ -71,13 +71,25 @@ class TestExtract:
         assert doc["manifest"] == manifest["identity_hash"]
         first = curve_paths["csv"].read_text().splitlines()[0]
         assert first == f"# manifest: {manifest['identity_hash']}"
-        for key in ("delta", "mode", "knots", "threads", "out", "bell"):
+        for key in ("delta", "mode", "knots", "out", "bell"):
             assert key in manifest["params"]
+        # the worker count is recorded but does not enter the identity hash
+        assert "threads" not in manifest["params"]
+        assert manifest["resolved"]["threads"] == 1
         assert manifest["command"] == "extract"
         assert manifest["wall_time_s"] >= 0.0
         # outputs map path -> digest of the written text
         digest = manifest["outputs"][str(curve_paths["json"])]
         assert digest == hashlib.sha256(curve_paths["json"].read_bytes()).hexdigest()
+
+    def test_outputs_identical_across_worker_counts(self, workdir):
+        out = workdir / "threads_curve"
+        outputs = []
+        for threads in ("1", "2"):
+            argv = ["extract", "--delta", "0.3", "--knots", "3", "--threads", threads, "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append((out.with_suffix(".json").read_bytes(), out.with_suffix(".csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_rerun_reproduces_bitwise(self, workdir, curve_paths):
         before_json = curve_paths["json"].read_bytes()
@@ -164,6 +176,9 @@ class TestExtract:
         ["figures", "--which", "g-eps", "--eps", "-0.1"],
         ["figures", "--which", "eps-vs-n", "--n-min", "0"],
         ["figures", "--which", "eps-vs-n", "--epsilon", "-0.1", "--n-points", "2"],
+        ["simulate", "--protocol", "2", "--n", "100", "--omega-sharp", "2.7", "--kappa", "0.1", "--epsilon", "inf"],
+        ["figures", "--which", "eps-vs-n", "--epsilon", "inf", "--n-points", "2"],
+        ["figures", "--which", "eps-vs-n", "--n-min", "1", "--n-max", "1"],
     ],
 )
 def test_bad_values_exit_2(workdir, capsys, argv):
@@ -223,7 +238,8 @@ class TestSecurity:
         doc = json.loads(out.with_suffix(".json").read_text())
         assert doc["eps_complete"] <= 0.01
         manifest = json.loads((workdir / "rep2.manifest.json").read_text())
-        assert manifest["resolved"]["kappa"] == pytest.approx(0.00727899, abs=1e-7)
+        # (8 sqrt(99999 ln(100) / 2) + 2.82) / 1e5
+        assert manifest["resolved"]["kappa"] == pytest.approx(0.0384162, abs=1e-7)
 
     def test_sequential_protocol(self, workdir, curve_paths):
         out = workdir / "rep4"
@@ -265,6 +281,8 @@ class TestSecurity:
         assert main(nan_eps + ["--out", str(workdir / "x")]) == 2
         inf_kappa = ["security", "--curve", str(curve_paths["json"]), "--kappa", "inf"] + common
         assert main(inf_kappa + ["--out", str(workdir / "x")]) == 2
+        inf_eps = ["security", "--curve", str(curve_paths["json"]), "--epsilon", "inf"] + common
+        assert main(inf_eps + ["--out", str(workdir / "x")]) == 2
 
     @pytest.mark.parametrize(
         "doc",
@@ -415,6 +433,7 @@ class TestSimulate:
             dict(base, seed=-1),
             dict(base, trials=3.5),
             json.dumps(base).replace('"kappa": 0.05', '"kappa": 1e999'),
+            dict(base, epsilon=math.inf),
         ]
         for doc in docs:
             bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -494,6 +513,32 @@ class TestFigures:
             assert np.all(np.diff(data[:, 0]) > 0)
             for j in range(1, data.shape[1]):
                 assert np.all(np.diff(data[:, j]) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "which, ignored, read",
+        [
+            ("g-eps", ["--protocol", "3", "--n-min", "10", "--epsilon", "0.05"], ["--eps", "0,0.1"]),
+            ("eps-vs-n", ["--eps", "0.3"], ["--n-points", "3"]),
+            ("xi-vs-analytic", ["--eps", "0.3", "--bell", "chsh", "--n-points", "3"], None),
+        ],
+    )
+    def test_manifest_hash_covers_read_flags_only(self, workdir, xi_curves, which, ignored, read):
+        out = workdir / f"figs_hash_{which}"
+        base = ["figures", "--which", which, "--out-dir", str(out)]
+        if which == "xi-vs-analytic":
+            # the read flag is the curve list: the last --curve wins
+            base += ["--curve", ",".join(str(c) for c in xi_curves)]
+            read = ["--curve", str(xi_curves[0])]
+        if which == "eps-vs-n":
+            base += ["--n-min", "1e3", "--n-max", "1e4", "--n-points", "2"]
+
+        def identity(extra):
+            assert main(base + extra) == 0
+            return json.loads((out / f"{which}.manifest.json").read_text())["identity_hash"]
+
+        plain = identity([])
+        assert identity(ignored) == plain
+        assert identity(read) != plain
 
     def test_eps_vs_n_rejects_sequential(self, workdir, curve_paths):
         rc = main(

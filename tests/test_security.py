@@ -29,6 +29,35 @@ def binom_cdf(n, p, k):
     return sum(math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(0, k + 1))
 
 
+def binom_cdf_log(n, p, k):
+    """P[Bin(n, p) <= k], summing the pmf in log space (no overflow at n ~ 1e3)."""
+    k = math.floor(k)
+    if k < 0:
+        return 0.0
+    if k >= n or p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    lg = math.lgamma
+    logs = [lg(n + 1) - lg(i + 1) - lg(n - i + 1) + i * math.log(p) + (n - i) * math.log1p(-p) for i in range(k + 1)]
+    return min(math.fsum(math.exp(v) for v in logs), 1.0)
+
+
+def two_point_pass_count(n, cut):
+    """Largest win count W whose estimate (4/n)(2W - (n-1)) is at most ``cut``.
+
+    The two-point round variable +-4 (CHSH, gamma* = 1) wins with
+    probability p; the estimator is the one ``run_protocol`` computes.
+    """
+    w = math.floor((n * cut / 4.0 + (n - 1)) / 2.0)
+    # guard the floor against the float rounding at exact ties
+    while 4.0 / n * (2.0 * (w + 1) - (n - 1)) <= cut:
+        w += 1
+    while w >= 0 and 4.0 / n * (2.0 * w - (n - 1)) > cut:
+        w -= 1
+    return w
+
+
 def p2(n=10_000, kappa=0.01, omega_sharp=2.82, epsilon=0.1, **kw):
     return ProtocolConfig(
         protocol=kw.pop("protocol", "P2"),
@@ -107,8 +136,11 @@ class TestHoeffding:
             assert emp <= bound + 3.0 * sigma + 1e-4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            hoeffding_tail(10, 0.0, 1.0)
+        # non-positive deviations carry the trivial bound; arrays pass through
+        assert hoeffding_tail(10, 0.0, 1.0) == 1.0
+        assert hoeffding_tail(10, -3.0, 1.0) == 1.0
+        out = hoeffding_tail(8, np.array([-1.0, 2.0]), 1.0)
+        np.testing.assert_allclose(out, [1.0, math.exp(-1.0)])
 
 
 class TestConfig:
@@ -126,10 +158,9 @@ class TestConfig:
         for kappa in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 p2(kappa=kappa)
-        with pytest.raises(ValueError):
-            p2(epsilon=-0.1)
-        with pytest.raises(ValueError):
-            p2(bound_mode="exact")
+        for epsilon in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                p2(epsilon=epsilon)
 
     def test_p1_fixes_epsilon(self):
         assert p2(protocol="P1", epsilon=0.0).protocol == "P1"
@@ -171,11 +202,19 @@ class TestConfig:
 
 class TestTerms:
     def test_parallel_a_term_normalizations(self):
-        cfg = p2(n=2)
+        # one normalization: a score sum of n-1 terms in [-4 gamma*, 4 gamma*]
+        # must beat its mean by parallel_cut + (n-1) d, so the exponent is
+        # (cut + (n-1) d)^2 / (32 (n-1) gamma*^2)
+        cfg = p2(n=101, kappa=0.02, omega_sharp=2.82)
         a, _, _ = _terms(cfg)
-        assert float(a(1.0)) == pytest.approx(math.exp(-1.0))
-        a_r, _, _ = _terms(dataclasses.replace(cfg, bound_mode="rigorous"))
-        assert float(a_r(1.0)) == pytest.approx(math.exp(-0.5))
+        for d in (0.01, 0.1, 1.0):
+            r = 2.8 + 100 * d
+            assert float(a(d)) == pytest.approx(math.exp(-r * r / 3200.0), rel=1e-12)
+        # a negative cut leaves small d with no deviation to bound
+        neg = p2(n=101, kappa=0.02, omega_sharp=-2.0)
+        a_neg, _, _ = _terms(neg)
+        assert float(a_neg(0.01)) == 1.0
+        assert float(a_neg(0.05)) == pytest.approx(math.exp(-(2.98**2) / 3200.0), rel=1e-9)
 
     def test_sequential_a_term_floors(self):
         cfg = p4(n=101)
@@ -239,23 +278,6 @@ class TestSoundness:
             r5.delta_star,
         )
 
-    @pytest.mark.parametrize("protocol, mode", [("P1", "paper"), ("P2", "rigorous"), ("P3", "paper")])
-    def test_other_mode_matches_own_scan(self, protocol, mode):
-        # eps_sound_other_mode reuses the curve term; it must equal the scan
-        # minimum of a config built in the other mode from scratch
-        cfg = p2(n=5_000, protocol=protocol, epsilon=0.0 if protocol == "P1" else 0.1, bound_mode=mode)
-        other = dataclasses.replace(cfg, bound_mode="rigorous" if mode == "paper" else "paper")
-        a, b, hi = _terms(other)
-        grid = np.linspace(1e-9, hi, 10_000)
-        assert soundness(cfg).meta["eps_sound_other_mode"] == float(np.min(np.maximum(a(grid), b(grid))))
-
-    def test_rigorous_never_beats_paper(self):
-        for n in (1_000, 100_000):
-            rp = soundness(p2(n=n))
-            rr = soundness(p2(n=n, bound_mode="rigorous"))
-            assert rr.eps_sound >= rp.eps_sound - 1e-15
-            assert rp.meta["eps_sound_other_mode"] >= rr.eps_sound - 1e-12
-
     def test_monotone_trends(self):
         base = dict(n=100_000, kappa=0.005)
         more_rounds = [soundness(p2(n=n, kappa=0.005)).eps_sound for n in (10_000, 100_000, 1_000_000)]
@@ -274,7 +296,6 @@ class TestSoundness:
             kappa=float(rng.uniform(1e-4, 0.05)),
             omega_sharp=float(rng.uniform(2.0, S2)),
             epsilon=float(rng.choice([0.0, 0.05, 0.1, 0.15])),
-            bound_mode=str(rng.choice(["paper", "rigorous"])),
         )
         a, b, hi = _terms(cfg)
         grid = np.linspace(1e-9, hi, 1500)
@@ -299,14 +320,12 @@ class TestSoundness:
 
 class TestCompleteness:
     def test_parallel_closed_form(self):
-        assert completeness(p2(n=2, kappa=1.0)) == pytest.approx(2.0 * math.exp(-1.0))
-        assert completeness(
-            p2(n=2, kappa=2.0, bound_mode="rigorous")
-        ) == pytest.approx(2.0 * math.exp(-2.0))
-        # raw rigorous value at kappa 1 exceeds 1 and clamps
-        assert completeness(p2(n=2, kappa=1.0, bound_mode="rigorous")) == 1.0
-        assert completeness(p2(n=2, kappa=1e-9)) == 1.0  # clamped
-        assert completeness(p2(n=1001, kappa=1.0)) < 1e-100
+        # n = 2: one tested round, deviation r = 2 kappa - omega_sharp, bound exp(-r^2 / 32)
+        kap = (math.sqrt(32.0) + 2.82) / 2.0
+        assert completeness(p2(n=2, kappa=kap)) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert completeness(p2(n=2, kappa=2.0)) == pytest.approx(math.exp(-((4.0 - 2.82) ** 2) / 32.0))
+        assert completeness(p2(n=2, kappa=1.0)) == 1.0  # 2 kappa < omega_sharp: no deviation to bound
+        assert completeness(p2(n=100_001, kappa=1.0)) < 1e-100
 
     def test_sequential_sandwich(self):
         for n, psharp, kappa in ((21, 0.85, 0.03), (101, 0.8, 0.011), (16, 0.7, 0.2)):
@@ -332,15 +351,16 @@ class TestKappaForTarget:
     def test_parallel_exact(self):
         cfg = p2(n=100_000)
         kap = kappa_for_target(cfg, 0.01)
-        assert kap == pytest.approx(0.00727899, abs=1e-7)
+        # (8 sqrt(99999 ln(100) / 2) + 2.82) / 1e5
+        assert kap == pytest.approx(0.0384162, abs=1e-7)
         assert completeness(dataclasses.replace(cfg, kappa=kap)) <= 0.01
         assert completeness(dataclasses.replace(cfg, kappa=kap * 0.999)) > 0.01
-
-    def test_parallel_rigorous_mode(self):
-        cfg = p2(n=100_000, bound_mode="rigorous")
-        kap = kappa_for_target(cfg, 0.01)
-        assert completeness(dataclasses.replace(cfg, kappa=kap)) <= 0.01
-        assert kap == pytest.approx(math.sqrt(2.0) * 0.00727899, rel=1e-4)
+        for omega_sharp in (-2.0, 0.0, S2):
+            for n in (2, 37, 5_000):
+                c = p2(n=n, omega_sharp=omega_sharp)
+                k = kappa_for_target(c, 0.05)
+                assert completeness(dataclasses.replace(c, kappa=k)) <= 0.05
+                assert completeness(dataclasses.replace(c, kappa=k * (1.0 - 1e-6))) > 0.05
 
     def test_sequential_bisected(self):
         cfg = p4(n=50_000)
@@ -364,7 +384,6 @@ class TestReportAndSweeps:
                 delta_star=0.01,
                 a_term=0.3,
                 b_term=0.4,
-                bound_mode="paper",
                 meta={},
             )
         with pytest.raises(ValueError):
@@ -375,7 +394,6 @@ class TestReportAndSweeps:
                 delta_star=0.01,
                 a_term=2.5,
                 b_term=0.4,
-                bound_mode="paper",
                 meta={},
             )
 
@@ -384,3 +402,41 @@ class TestReportAndSweeps:
         es = [r.eps_sound for r in reports]
         assert es[0] > es[1] > es[2]
         assert [r.meta["n"] for r in reports] == [1_000, 10_000, 100_000]
+
+
+class TestParallelBoundIsExact:
+    """The P1..P3 bounds against exact tails of the worst two-point round.
+
+    Each tested round scores +4 gamma* or -4 gamma*; a variable on those
+    two points with mean m is the extreme case Hoeffding's bound must
+    cover.  The tails are exact binomial sums of the estimator that
+    ``run_protocol`` computes, (4/n) times the sum over n-1 tested rounds.
+    """
+
+    NS = (2, 10, 50, 200, 1000)
+
+    def test_completeness_bounds_exact_abort_probability(self):
+        for n in self.NS:
+            for omega_sharp in (-2.5, 0.0, 2.0, 2.75, S2):
+                p = 0.5 * (1.0 + omega_sharp / 4.0)
+                base = p2(protocol="P3", n=n, omega_sharp=omega_sharp)
+                kappas = [kappa_for_target(base, t) for t in (0.5, 0.05, 0.01)]
+                for kappa in kappas + [0.01, 0.1, 1.0]:
+                    cfg = dataclasses.replace(base, kappa=kappa)
+                    exact = binom_cdf_log(n - 1, p, two_point_pass_count(n, cfg.parallel_cut))
+                    assert exact <= completeness(cfg) + 1e-12, (n, omega_sharp, kappa)
+
+    def test_a_term_bounds_exact_pass_probability(self):
+        # tested rounds with mean parallel_cut - d pass with probability <= a(d),
+        # for either sign of the cut
+        for n in self.NS:
+            for omega_sharp, kappa in ((2.75, 0.05), (0.5, 0.3), (-1.0, 0.2), (-2.5, 1.0)):
+                cfg = p2(n=n, kappa=kappa, omega_sharp=omega_sharp)
+                a, _, hi = _terms(cfg)
+                for d in np.linspace(1e-3, hi, 25):
+                    mean = cfg.parallel_cut - d
+                    if mean < -4.0:
+                        continue
+                    p = 0.5 * (1.0 + mean / 4.0)
+                    passed = 1.0 - binom_cdf_log(n - 1, p, two_point_pass_count(n, cfg.parallel_cut))
+                    assert passed <= float(a(d)) + 1e-12, (n, omega_sharp, kappa, d)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from discert.bellops import BellFunctional, score_to_value
-from discert.security import ProtocolConfig
+from discert.security import ProtocolConfig, kappa_for_target
 from discert.simproto import (
     DeviceModel,
     SourceModel,
@@ -278,6 +279,27 @@ class TestAbortRates:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             estimate_abort_rate(p2(), SourceModel.honest_isotropic(0.0), OPT, trials=0, seed=1)
+
+
+    @pytest.mark.parametrize("protocol", ["P1", "P2", "P3"])
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_honest_abort_rate_meets_completeness_target(self, protocol, n):
+        # an honest device whose per-round Bell value equals omega_sharp is
+        # the case eps_complete bounds: at the kappa solved for a target,
+        # the Wilson lower end of its abort rate stays at or below the target
+        for omega_sharp in (2.5, 2.75):
+            base = ProtocolConfig(
+                protocol=protocol,
+                n=n,
+                kappa=1e-3,
+                omega_sharp=omega_sharp,
+                epsilon=0.0 if protocol == "P1" else 0.1,
+            )
+            src = SourceModel.honest_isotropic(1.0 - omega_sharp / S2)
+            for target in (0.05, 0.01):
+                cfg = dataclasses.replace(base, kappa=kappa_for_target(base, target))
+                _, (lo, _) = estimate_abort_rate(cfg, src, OPT, trials=20_000, seed=n + 7)
+                assert lo <= target, (omega_sharp, target, lo)
 
 
 class TestSequentialAdversary:
